@@ -11,16 +11,21 @@
 
 use std::ops::Range;
 
+use np_engine::metrics::MetricsSweep;
 use np_engine::opinion::Opinion;
+use np_engine::packed::PackedChunkMut;
 use np_engine::population::{PopulationConfig, Role};
-use np_engine::protocol::{AgentState, ColumnarProtocol, ColumnarState, Protocol};
-use np_engine::streams::StreamRng;
-use np_engine::streams::{RoundStreams, StreamStage};
+use np_engine::protocol::{step_records, AgentState, ColumnarProtocol, ColumnarState, Protocol};
+use np_engine::streams::{RoundStreams, StreamRng};
 use rand::Rng;
 
 /// The h-majority baseline. Binary alphabet; sources display and keep
 /// their preference, non-sources adopt the majority of each round's
 /// observations (ties random).
+///
+/// The rule lives once, in [`MajorityAgent`]'s [`AgentState`] impl;
+/// `World<HMajority>` runs it over the struct-of-arrays
+/// [`MajorityColumns`].
 ///
 /// # Example
 ///
@@ -75,7 +80,7 @@ impl AgentState for MajorityAgent {
         self.opinion.as_index()
     }
 
-    fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
+    fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R) {
         if let Role::Source(pref) = self.role {
             self.opinion = pref;
             return;
@@ -99,27 +104,16 @@ impl AgentState for MajorityAgent {
     }
 }
 
-/// Columnar h-majority: bit-identical to [`HMajority`] on the same world
-/// arguments (see `noisy_pull::columnar` for the equivalence contract the
-/// protocol ports share).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ColumnarHMajority;
-
-/// Struct-of-arrays population state of the columnar h-majority baseline.
-#[derive(Debug, Clone)]
-pub struct MajorityColumns {
-    role: Vec<Role>,
-    opinion: Vec<Opinion>,
+np_engine::record_lanes! {
+    /// Struct-of-arrays population state of the h-majority baseline —
+    /// what `World<HMajority>` runs.
+    pub struct MajorityColumns, MajorityChunkMut for MajorityAgent {
+        shared {}
+        lanes { role: Role, opinion: Opinion }
+    }
 }
 
-/// Disjoint mutable chunk view over [`MajorityColumns`].
-#[derive(Debug)]
-pub struct MajorityChunkMut<'a> {
-    role: &'a [Role],
-    opinion: &'a mut [Opinion],
-}
-
-impl ColumnarProtocol for ColumnarHMajority {
+impl ColumnarProtocol for HMajority {
     type State = MajorityColumns;
 
     fn alphabet_size(&self) -> usize {
@@ -127,64 +121,28 @@ impl ColumnarProtocol for ColumnarHMajority {
     }
 
     fn init_state(&self, config: &PopulationConfig, streams: &RoundStreams) -> MajorityColumns {
-        let n = config.n();
-        let mut cols = MajorityColumns {
-            role: Vec::with_capacity(n),
-            opinion: Vec::with_capacity(n),
-        };
-        for (id, role) in config.iter_roles().enumerate() {
-            // The scalar init evaluates `unwrap_or(coin)` eagerly, so the
-            // coin is drawn for sources too; replicate that.
-            let mut rng = streams.rng(id, StreamStage::Init);
-            let coin = Opinion::from_bool(rng.gen());
-            cols.role.push(role);
-            cols.opinion.push(role.preference().unwrap_or(coin));
-        }
-        cols
+        MajorityColumns::init(self, config, streams)
     }
 }
 
 impl ColumnarState for MajorityColumns {
-    type ChunkMut<'a>
-        = MajorityChunkMut<'a>
-    where
-        Self: 'a;
+    type ChunkMut<'a> = MajorityChunkMut<'a>;
 
     fn len(&self) -> usize {
         self.role.len()
     }
 
-    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], _streams: &RoundStreams) {
-        for (slot, id) in out.iter_mut().zip(range) {
-            *slot = self.opinion[id].as_index();
-        }
-    }
-
     fn display_chunk_packed(
         &self,
         range: Range<usize>,
-        chunk: &mut np_engine::packed::PackedChunkMut<'_>,
+        chunk: &mut PackedChunkMut<'_>,
         _streams: &RoundStreams,
     ) {
-        debug_assert_eq!(chunk.start(), range.start);
-        debug_assert_eq!(chunk.len(), range.len());
-        // One plane (d = 2): the display is the opinion bit itself.
-        for (w, opinions) in self.opinion[range].chunks(64).enumerate() {
-            let mut bits = 0u64;
-            for (b, &op) in opinions.iter().enumerate() {
-                bits |= (op.as_index() as u64) << b;
-            }
-            chunk.set_plane_word(0, w, bits);
-        }
+        chunk.fill_with(self.opinion[range].iter().map(|o| o.as_index()));
     }
 
     fn chunks_mut(&mut self, chunk_len: usize) -> Vec<MajorityChunkMut<'_>> {
-        let chunk_len = chunk_len.max(1);
-        self.role
-            .chunks(chunk_len)
-            .zip(self.opinion.chunks_mut(chunk_len))
-            .map(|(role, opinion)| MajorityChunkMut { role, opinion })
-            .collect()
+        self.split_lanes(chunk_len)
     }
 
     fn step_chunk(
@@ -195,27 +153,7 @@ impl ColumnarState for MajorityColumns {
         streams: &RoundStreams,
         awake: Option<&[bool]>,
     ) {
-        debug_assert_eq!(d, 2);
-        for ((i, id), obs) in (0..chunk.role.len())
-            .zip(range)
-            .zip(observed.chunks_exact(d))
-        {
-            if awake.is_some_and(|mask| !mask[i]) {
-                continue;
-            }
-            if let Role::Source(pref) = chunk.role[i] {
-                chunk.opinion[i] = pref;
-                continue;
-            }
-            chunk.opinion[i] = match obs[1].cmp(&obs[0]) {
-                std::cmp::Ordering::Greater => Opinion::One,
-                std::cmp::Ordering::Less => Opinion::Zero,
-                std::cmp::Ordering::Equal => {
-                    let mut rng = streams.rng(id, StreamStage::Update);
-                    Opinion::from_bool(rng.gen())
-                }
-            };
-        }
+        step_records(chunk, range, observed, d, streams, awake);
     }
 
     fn opinion(&self, id: usize) -> Opinion {
@@ -226,26 +164,8 @@ impl ColumnarState for MajorityColumns {
         self.opinion.iter().filter(|&&o| o == opinion).count()
     }
 
-    /// Memoryless dynamics: every agent is always in the single stage 0
-    /// (explicit for the same reason as [`MajorityAgent`]'s impl).
-    fn stage_id(&self, _id: usize) -> u32 {
-        0
-    }
-
-    /// Fused sweep: memoryless dynamics put every agent in stage 0 with
-    /// no weak opinion, so only the correct count needs a lane pass —
-    /// value-identical to the default per-agent walk.
-    fn metrics_sweep(&self, correct: Opinion) -> np_engine::metrics::MetricsSweep {
-        let stages = if self.opinion.is_empty() {
-            Vec::new()
-        } else {
-            vec![(0, self.opinion.len())]
-        };
-        np_engine::metrics::MetricsSweep {
-            correct: self.opinion.iter().filter(|&&o| o == correct).count(),
-            stages,
-            ..Default::default()
-        }
+    fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
+        MetricsSweep::tally(correct, self.opinion.iter().map(|&o| (o, 0, None)))
     }
 }
 
@@ -262,35 +182,6 @@ impl np_engine::snapshot::SnapshotAgent for MajorityAgent {
             role: r.take_role()?,
             opinion: r.take_opinion()?,
         })
-    }
-}
-
-impl np_engine::snapshot::SnapshotState for MajorityColumns {
-    const SNAP_TAG: &'static str = "majority-columns/v1";
-
-    fn encode_state(&self, w: &mut np_engine::snapshot::SnapWriter) {
-        let n = self.role.len();
-        w.put_usize(n);
-        for &role in &self.role {
-            w.put_role(role);
-        }
-        for &opinion in &self.opinion {
-            w.put_opinion(opinion);
-        }
-    }
-
-    fn decode_state(r: &mut np_engine::snapshot::SnapReader<'_>) -> np_engine::Result<Self> {
-        let n = r.take_usize()?;
-        let cap = n.min(r.remaining());
-        let mut role = Vec::with_capacity(cap);
-        for _ in 0..n {
-            role.push(r.take_role()?);
-        }
-        let mut opinion = Vec::with_capacity(cap);
-        for _ in 0..n {
-            opinion.push(r.take_opinion()?);
-        }
-        Ok(MajorityColumns { role, opinion })
     }
 }
 
@@ -431,28 +322,6 @@ mod tests {
         let outcome = world.run_until_consensus(100);
         assert!(outcome.converged());
         assert!(outcome.rounds().unwrap() < 20);
-    }
-
-    #[test]
-    fn columnar_matches_scalar_round_by_round() {
-        let config = PopulationConfig::new(64, 2, 5, 64).unwrap();
-        let noise = NoiseMatrix::uniform(2, 0.2).unwrap();
-        let mut scalar =
-            World::new(&HMajority, config, &noise, ChannelKind::Aggregated, 17).unwrap();
-        let mut columnar = World::new(
-            &ColumnarHMajority,
-            config,
-            &noise,
-            ChannelKind::Aggregated,
-            17,
-        )
-        .unwrap();
-        assert_eq!(scalar.opinions(), columnar.opinions(), "init");
-        for round in 0..40 {
-            scalar.step();
-            columnar.step();
-            assert_eq!(scalar.opinions(), columnar.opinions(), "round {round}");
-        }
     }
 
     #[test]

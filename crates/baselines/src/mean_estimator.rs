@@ -15,7 +15,7 @@
 
 use np_engine::opinion::Opinion;
 use np_engine::population::Role;
-use np_engine::protocol::{AgentState, Protocol};
+use np_engine::protocol::{AgentState, Protocol, ScalarLayout};
 use np_engine::streams::StreamRng;
 use rand::Rng;
 
@@ -84,6 +84,8 @@ impl MeanEstimatorAgent {
     }
 }
 
+impl ScalarLayout for MeanEstimator {}
+
 impl Protocol for MeanEstimator {
     type Agent = MeanEstimatorAgent;
 
@@ -110,7 +112,7 @@ impl AgentState for MeanEstimatorAgent {
         }
     }
 
-    fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
+    fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R) {
         self.zeros += observed[0];
         self.ones += observed[1];
         if self.role.is_source() {

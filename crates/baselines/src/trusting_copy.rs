@@ -19,7 +19,7 @@
 
 use np_engine::opinion::Opinion;
 use np_engine::population::Role;
-use np_engine::protocol::{AgentState, Protocol};
+use np_engine::protocol::{AgentState, Protocol, ScalarLayout};
 use np_engine::streams::StreamRng;
 use rand::Rng;
 
@@ -59,6 +59,8 @@ impl TrustingCopyAgent {
     }
 }
 
+impl ScalarLayout for TrustingCopy {}
+
 impl Protocol for TrustingCopy {
     type Agent = TrustingCopyAgent;
 
@@ -87,7 +89,7 @@ impl AgentState for TrustingCopyAgent {
         2 * usize::from(self.informed) + self.opinion.as_index()
     }
 
-    fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
+    fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R) {
         if self.role.is_source() || self.informed {
             // Sources and already-informed agents are settled.
             return;

@@ -11,7 +11,7 @@
 
 use np_engine::opinion::Opinion;
 use np_engine::population::Role;
-use np_engine::protocol::{AgentState, Protocol};
+use np_engine::protocol::{AgentState, Protocol, ScalarLayout};
 use np_engine::streams::StreamRng;
 use rand::Rng;
 
@@ -50,6 +50,8 @@ impl VoterAgent {
     }
 }
 
+impl ScalarLayout for ZealotVoter {}
+
 impl Protocol for ZealotVoter {
     type Agent = VoterAgent;
 
@@ -70,7 +72,7 @@ impl AgentState for VoterAgent {
         self.opinion.as_index()
     }
 
-    fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
+    fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R) {
         if let Role::Source(pref) = self.role {
             // Zealot: immune to influence.
             self.opinion = pref;

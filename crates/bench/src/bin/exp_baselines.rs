@@ -20,13 +20,13 @@ use np_bench::harness::{run_settled, summarize, Measured};
 use np_bench::report::{fmt_f64, Table};
 use np_engine::channel::ChannelKind;
 use np_engine::population::PopulationConfig;
-use np_engine::protocol::Protocol;
+use np_engine::protocol::ColumnarProtocol;
 use np_engine::runner::{run_batch, suggested_threads};
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 use np_stats::seeds::SeedSequence;
 
-fn run_protocol<P: Protocol + Sync>(
+fn run_protocol<P: ColumnarProtocol + Sync>(
     proto: &P,
     config: PopulationConfig,
     delta: f64,

@@ -25,13 +25,13 @@ use std::time::Instant;
 
 use noisy_pull::adversary::SsfAdversary;
 use noisy_pull::params::SsfParams;
-use noisy_pull::ssf::{SelfStabilizingSourceFilter, SsfAgent};
+use noisy_pull::ssf::{SelfStabilizingSourceFilter, SsfColumns};
 use np_bench::harness::auto_channel;
 use np_bench::report::{fmt_f64, save_bench_json, PerfPoint, Table};
 use np_engine::faults::{recovery_times, FaultEvent, FaultPlan};
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
-use np_engine::protocol::ScalarState;
+use np_engine::protocol::AgentRecords;
 use np_engine::runner::{run_batch, suggested_threads};
 use np_engine::streams::StreamRng;
 use np_engine::world::World;
@@ -47,7 +47,7 @@ const INJECT_INTERVALS: u64 = 3;
 /// Total budget, in update intervals.
 const BUDGET_INTERVALS: u64 = 12;
 
-type SsfState = ScalarState<SsfAgent>;
+type SsfState = SsfColumns;
 
 fn corrupt_event(adversary: SsfAdversary, correct: Opinion, m: u64) -> FaultEvent<SsfState> {
     FaultEvent::Corrupt {
@@ -55,7 +55,7 @@ fn corrupt_event(adversary: SsfAdversary, correct: Opinion, m: u64) -> FaultEven
         label: adversary.name().to_string(),
         fault: Arc::new(
             move |state: &mut SsfState, id: usize, rng: &mut StreamRng| {
-                adversary.corrupt(&mut state.agents_mut()[id], correct, m, id, rng);
+                state.modify_agent(id, |agent| adversary.corrupt(agent, correct, m, id, rng));
             },
         ),
     }

@@ -16,6 +16,7 @@ use np_bench::report::{fmt_f64, Table};
 use np_engine::channel::ChannelKind;
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
+use np_engine::protocol::{ColumnarProtocol, ColumnarState};
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 
@@ -27,8 +28,8 @@ struct VariantStats {
 
 fn measure<F, P>(make_world: F, params: SfParams, listening_rounds: u64, runs: u64) -> VariantStats
 where
-    P: np_engine::protocol::Protocol,
-    F: Fn(u64) -> (World<P>, Box<dyn Fn(&P::Agent) -> Option<Opinion>>),
+    P: ColumnarProtocol,
+    F: Fn(u64) -> World<P>,
 {
     let mut wins = 0u64;
     let mut settle_acc = 0.0;
@@ -36,16 +37,16 @@ where
     let mut weak_total = 0u64;
     for seed in 0..runs {
         // Weak accuracy pass.
-        let (mut world, weak_of) = make_world(seed);
+        let mut world = make_world(seed);
         world.run(listening_rounds);
-        for agent in world.iter_agents() {
-            if let Some(w) = weak_of(agent) {
+        for id in 0..world.config().n() {
+            if let Some(w) = world.state().weak_opinion(id) {
                 weak_correct += u64::from(w == Opinion::One);
                 weak_total += 1;
             }
         }
         // Fresh end-to-end pass (same seed, full schedule).
-        let (mut world, _) = make_world(seed);
+        let mut world = make_world(seed);
         let m = run_settled(&mut world, params.total_rounds());
         if let Some(r) = m.settled_round {
             wins += 1;
@@ -82,18 +83,14 @@ fn main() {
 
         let sf = measure(
             |seed| {
-                let world = World::new(
+                World::new(
                     &SourceFilter::new(params),
                     config,
                     &noise,
                     ChannelKind::Aggregated,
                     0xFA ^ seed,
                 )
-                .expect("alphabets match");
-                (
-                    world,
-                    Box::new(|a: &noisy_pull::sf::SfAgent| a.weak_opinion()),
-                )
+                .expect("alphabets match")
             },
             params,
             listening,
@@ -109,18 +106,14 @@ fn main() {
 
         let alt = measure(
             |seed| {
-                let world = World::new(
+                World::new(
                     &AlternatingSourceFilter::new(params),
                     config,
                     &noise,
                     ChannelKind::Aggregated,
                     0xFA ^ seed,
                 )
-                .expect("alphabets match");
-                (
-                    world,
-                    Box::new(|a: &noisy_pull::sf_alternating::AltSfAgent| a.weak_opinion()),
-                )
+                .expect("alphabets match")
             },
             params,
             listening,

@@ -22,11 +22,11 @@ use np_bench::report::Table;
 use np_engine::channel::ChannelKind;
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
-use np_engine::protocol::Protocol;
+use np_engine::protocol::ColumnarProtocol;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 
-fn record<P: Protocol>(mut world: World<P>, rounds: u64, label: &str, csv: &str) {
+fn record<P: ColumnarProtocol>(mut world: World<P>, rounds: u64, label: &str, csv: &str) {
     world.record_series();
     world.run(rounds);
     let series = world.series().expect("recording enabled");

@@ -15,7 +15,7 @@ use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use np_engine::channel::ChannelKind;
 use np_engine::metrics::RunOutcome;
 use np_engine::population::PopulationConfig;
-use np_engine::protocol::Protocol;
+use np_engine::protocol::ColumnarProtocol;
 use np_engine::runner::{run_batch, suggested_threads};
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
@@ -52,7 +52,7 @@ pub fn auto_channel(h: usize) -> ChannelKind {
 }
 
 /// Steps `world` for `budget` rounds and reports the settle round.
-pub fn run_settled<P: Protocol>(world: &mut World<P>, budget: u64) -> Measured {
+pub fn run_settled<P: ColumnarProtocol>(world: &mut World<P>, budget: u64) -> Measured {
     let mut last_bad: u64 = 0;
     for r in 1..=budget {
         world.step();

@@ -210,8 +210,9 @@ pub fn workspace_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_string(s: &str) -> String {
+/// Escapes a string as a JSON string literal, quotes included — the one
+/// escaper behind every artifact this crate and the sweep manifests write.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -232,7 +233,7 @@ fn json_string(s: &str) -> String {
 /// Renders an `f64` as a JSON number. Rust's shortest-roundtrip `Display`
 /// is deterministic, so equal values render to equal bytes; non-finite
 /// values (not representable in JSON) become `null`.
-fn json_f64(x: f64) -> String {
+pub fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {

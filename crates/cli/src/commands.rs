@@ -6,7 +6,7 @@ use std::sync::Arc;
 use noisy_pull::adversary::SsfAdversary;
 use noisy_pull::params::{SfParams, SsfParams};
 use noisy_pull::sf::SourceFilter;
-use noisy_pull::ssf::{SelfStabilizingSourceFilter, SsfAgent};
+use noisy_pull::ssf::{SelfStabilizingSourceFilter, SsfColumns};
 use noisy_pull::theory;
 use np_baselines::majority::HMajority;
 use np_baselines::mean_estimator::MeanEstimator;
@@ -19,7 +19,7 @@ use np_engine::counts::{CountsProtocol, CountsWorld};
 use np_engine::faults::{recovery_times, FaultEvent, FaultPlan};
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
-use np_engine::protocol::{Protocol, ScalarState};
+use np_engine::protocol::{AgentRecords, ColumnarProtocol, Protocol};
 use np_engine::push::PushWorld;
 use np_engine::streams::StreamRng;
 use np_engine::topology::TopologySpec;
@@ -358,7 +358,7 @@ where
     }
 }
 
-fn report_run<P: Protocol>(
+fn report_run<P: ColumnarProtocol>(
     world: &mut World<P>,
     budget: u64,
     label: &str,
@@ -643,8 +643,8 @@ pub fn run_ssf(args: &Args) -> CliResult {
                 frac,
                 label: kind.to_string(),
                 fault: Arc::new(
-                    move |state: &mut ScalarState<SsfAgent>, id: usize, rng: &mut StreamRng| {
-                        adv.corrupt(&mut state.agents_mut()[id], correct, m, id, rng);
+                    move |state: &mut SsfColumns, id: usize, rng: &mut StreamRng| {
+                        state.modify_agent(id, |agent| adv.corrupt(agent, correct, m, id, rng));
                     },
                 ),
             })
@@ -1423,21 +1423,15 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let plan: FaultPlan<ScalarState<SsfAgent>> =
-            parse_faults(&specs, 4, 0.1, no_corrupt_kinds).unwrap();
+        let plan: FaultPlan<SsfColumns> = parse_faults(&specs, 4, 0.1, no_corrupt_kinds).unwrap();
         assert_eq!(plan.len(), 4);
     }
 
     #[test]
     fn parse_faults_rejects_malformed_specs() {
         let check = |spec: &str, needle: &str| {
-            let e = parse_faults::<ScalarState<SsfAgent>>(
-                &[spec.to_string()],
-                4,
-                0.1,
-                no_corrupt_kinds,
-            )
-            .unwrap_err();
+            let e = parse_faults::<SsfColumns>(&[spec.to_string()], 4, 0.1, no_corrupt_kinds)
+                .unwrap_err();
             assert!(e.contains(needle), "`{spec}` → {e}");
         };
         check("nope", "round:kind");

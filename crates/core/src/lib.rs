@@ -32,9 +32,15 @@
 //! * [`sf_alternating`] — the "more natural" alternating-display variant
 //!   from the Remark in §2.1, implemented so its plausibility can be
 //!   tested empirically.
-//! * [`columnar`] — struct-of-arrays ports of SF, SSF and SF-ALT for the
-//!   engine's chunk-parallel hot path, bit-identical to the scalar
-//!   implementations on the same seed.
+//!
+//! Each protocol has one implementation. Its transition lives in its
+//! per-agent record ([`sf::SfAgent`], [`ssf::SsfAgent`],
+//! [`sf_alternating::AltSfAgent`]) — the form one agent runs alone in
+//! (the `np_net` nodes, [`reduction::WithArtificialNoise`]). A `World` of
+//! the protocol type stores the population struct-of-arrays
+//! ([`sf::SfColumns`], [`ssf::SsfColumns`], [`sf_alternating::AltSfColumns`])
+//! and runs that same record's `display`/`update` per agent by gathering
+//! and scattering it, bit-identically to running the records one by one.
 //!
 //! # Quickstart
 //!
@@ -77,7 +83,6 @@
 mod error;
 
 pub mod adversary;
-pub mod columnar;
 pub mod counts;
 pub mod memory;
 pub mod params;

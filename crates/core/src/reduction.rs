@@ -16,10 +16,11 @@
 //! Definition 6.
 
 use np_engine::opinion::Opinion;
-use np_engine::protocol::{AgentState, Protocol};
+use np_engine::protocol::{AgentState, Protocol, ScalarLayout};
 use np_engine::streams::StreamRng;
 use np_linalg::noise::NoiseMatrix;
 use np_stats::multinomial;
+use rand::Rng;
 
 /// A protocol adaptor applying artificial noise `P` to all incoming
 /// observations (Definition 6).
@@ -108,6 +109,10 @@ impl<S> ArtificialNoiseAgent<S> {
     }
 }
 
+/// The wrapper re-randomizes each agent's observations on its own, so it
+/// runs its records as a [`np_engine::protocol::ScalarState`].
+impl<A: Protocol> ScalarLayout for WithArtificialNoise<A> {}
+
 impl<A: Protocol> Protocol for WithArtificialNoise<A> {
     type Agent = ArtificialNoiseAgent<A::Agent>;
 
@@ -134,7 +139,7 @@ impl<S: AgentState> AgentState for ArtificialNoiseAgent<S> {
         self.inner.display(rng)
     }
 
-    fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
+    fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R) {
         debug_assert_eq!(observed.len(), self.rows.len());
         // Re-randomize each received message through P: the c_σ messages
         // received as σ scatter as Multinomial(c_σ, P_σ).

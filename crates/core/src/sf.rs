@@ -21,14 +21,34 @@
 //! only on the agent's own samples, noise, and tie-breaking coin — Lemma
 //! 28), each correct with probability `≥ ½ + 4√(ln n / n)`, and boosting
 //! amplifies that margin to consensus w.h.p.
+//!
+//! The transition lives once, in [`SfAgent`]'s [`AgentState`] impl. A
+//! `World<SourceFilter>` stores the population struct-of-arrays
+//! ([`SfColumns`]: one lane per record field) and runs that same
+//! `display`/`update` per agent by gathering and scattering records.
 
+use std::ops::Range;
+
+use np_engine::metrics::MetricsSweep;
 use np_engine::opinion::Opinion;
-use np_engine::population::Role;
-use np_engine::protocol::{AgentState, Protocol};
-use np_engine::streams::StreamRng;
+use np_engine::packed::PackedChunkMut;
+use np_engine::population::{PopulationConfig, Role};
+use np_engine::protocol::{step_records, AgentState, ColumnarProtocol, ColumnarState, Protocol};
+use np_engine::streams::{RoundStreams, StreamRng};
 use rand::Rng;
 
 use crate::params::SfParams;
+
+/// `1{ones > zeros}`, ties broken by a fair coin — the majority rule of
+/// SF's weak opinion and boosting (and of SSF and SF-ALT), drawing only
+/// on an actual tie.
+pub(crate) fn majority<R: Rng + ?Sized>(ones: u64, zeros: u64, rng: &mut R) -> Opinion {
+    match ones.cmp(&zeros) {
+        std::cmp::Ordering::Greater => Opinion::One,
+        std::cmp::Ordering::Less => Opinion::Zero,
+        std::cmp::Ordering::Equal => Opinion::from_bool(rng.gen()),
+    }
+}
 
 /// The Source Filter protocol (Algorithm 1). Construct with derived
 /// [`SfParams`] and run on an [`np_engine::world::World`].
@@ -83,6 +103,23 @@ enum Stage {
     Boost(u64),
     /// Schedule complete; the opinion is final.
     Done,
+}
+
+impl Stage {
+    /// Stage numbering for traces: Listen₀ = 0, Listen₁ = 1,
+    /// Boost(k) = 2 + k, Done = `u32::MAX`.
+    fn id(self) -> u32 {
+        match self {
+            Stage::Listen0 => 0,
+            Stage::Listen1 => 1,
+            // Saturates below Done so an (impossibly) deep boost index can
+            // never masquerade as completion.
+            Stage::Boost(k) => u32::try_from(k.saturating_add(2))
+                .unwrap_or(u32::MAX)
+                .min(u32::MAX - 1),
+            Stage::Done => u32::MAX,
+        }
+    }
 }
 
 /// Per-agent state of Algorithm SF.
@@ -154,11 +191,21 @@ impl SfAgent {
         self.gathered = 0;
     }
 
-    fn majority_of_mem(&self, rng: &mut StreamRng) -> Opinion {
-        match self.mem[1].cmp(&self.mem[0]) {
-            std::cmp::Ordering::Greater => Opinion::One,
-            std::cmp::Ordering::Less => Opinion::Zero,
-            std::cmp::Ordering::Equal => Opinion::from_bool(rng.gen()),
+    /// The display rule: sources show their preference while listening,
+    /// non-sources the phase's neutral value; everyone shows the opinion
+    /// while boosting. A function of three fields, so the packed display
+    /// kernel of [`SfColumns`] applies it straight from the lanes.
+    fn shown(stage: Stage, role: Role, opinion: Opinion) -> usize {
+        match stage {
+            Stage::Listen0 => match role {
+                Role::Source(pref) => pref.as_index(),
+                Role::NonSource => 0,
+            },
+            Stage::Listen1 => match role {
+                Role::Source(pref) => pref.as_index(),
+                Role::NonSource => 1,
+            },
+            Stage::Boost(_) | Stage::Done => opinion.as_index(),
         }
     }
 }
@@ -191,20 +238,10 @@ impl Protocol for SourceFilter {
 
 impl AgentState for SfAgent {
     fn display(&self, _rng: &mut StreamRng) -> usize {
-        match self.stage {
-            Stage::Listen0 => match self.role {
-                Role::Source(pref) => pref.as_index(),
-                Role::NonSource => 0,
-            },
-            Stage::Listen1 => match self.role {
-                Role::Source(pref) => pref.as_index(),
-                Role::NonSource => 1,
-            },
-            Stage::Boost(_) | Stage::Done => self.opinion.as_index(),
-        }
+        SfAgent::shown(self.stage, self.role, self.opinion)
     }
 
-    fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
+    fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R) {
         debug_assert_eq!(observed.len(), 2);
         match self.stage {
             Stage::Listen0 => {
@@ -233,11 +270,7 @@ impl AgentState for SfAgent {
                 );
                 if self.round_in_stage >= self.params.phase_len() {
                     // Ỹ := 1{Counter₁ > Counter₀}, ties broken randomly.
-                    let weak = match self.counter1.cmp(&self.counter0) {
-                        std::cmp::Ordering::Greater => Opinion::One,
-                        std::cmp::Ordering::Less => Opinion::Zero,
-                        std::cmp::Ordering::Equal => Opinion::from_bool(rng.gen()),
-                    };
+                    let weak = majority(self.counter1, self.counter0, rng);
                     self.weak = Some(weak);
                     self.opinion = weak;
                     self.stage = Stage::Boost(0);
@@ -262,7 +295,7 @@ impl AgentState for SfAgent {
                     self.params.final_subphase_len()
                 };
                 if self.round_in_stage >= len {
-                    self.opinion = self.majority_of_mem(rng);
+                    self.opinion = majority(self.mem[1], self.mem[0], rng);
                     self.mem = [0, 0];
                     self.round_in_stage = 0;
                     self.gathered = 0;
@@ -284,16 +317,7 @@ impl AgentState for SfAgent {
     /// Stage numbering for traces: Listen₀ = 0, Listen₁ = 1,
     /// Boost(k) = 2 + k, Done = `u32::MAX`.
     fn stage_id(&self) -> u32 {
-        match self.stage {
-            Stage::Listen0 => 0,
-            Stage::Listen1 => 1,
-            // Saturates below Done so an (impossibly) deep boost index can
-            // never masquerade as completion.
-            Stage::Boost(k) => u32::try_from(k.saturating_add(2))
-                .unwrap_or(u32::MAX)
-                .min(u32::MAX - 1),
-            Stage::Done => u32::MAX,
-        }
+        self.stage.id()
     }
 
     fn weak_opinion(&self) -> Option<Opinion> {
@@ -303,12 +327,104 @@ impl AgentState for SfAgent {
     /// Trend-change fault hook: the environment revises the ground truth
     /// (only sources carry a preference to flip).
     fn flip_source_preference(&mut self) -> bool {
-        if let Role::Source(pref) = self.role {
-            self.role = Role::Source(!pref);
-            true
-        } else {
-            false
+        self.role.flip_preference()
+    }
+}
+
+np_engine::record_lanes! {
+    /// Struct-of-arrays population state of SF — what
+    /// `World<SourceFilter>` runs: one lane per [`SfAgent`] field, the
+    /// schedule stored once.
+    pub struct SfColumns, SfChunkMut for SfAgent {
+        shared { params: SfParams }
+        lanes {
+            role: Role,
+            stage: Stage,
+            round_in_stage: u64,
+            counter1: u64,
+            counter0: u64,
+            weak: Option<Opinion>,
+            opinion: Opinion,
+            mem: [u64; 2],
+            gathered: u64,
         }
+    }
+}
+
+impl ColumnarProtocol for SourceFilter {
+    type State = SfColumns;
+
+    fn alphabet_size(&self) -> usize {
+        2
+    }
+
+    fn init_state(&self, config: &PopulationConfig, streams: &RoundStreams) -> SfColumns {
+        SfColumns::init(self, config, streams)
+    }
+}
+
+impl ColumnarState for SfColumns {
+    type ChunkMut<'a> = SfChunkMut<'a>;
+
+    fn len(&self) -> usize {
+        self.role.len()
+    }
+
+    fn display_chunk_packed(
+        &self,
+        range: Range<usize>,
+        chunk: &mut PackedChunkMut<'_>,
+        _streams: &RoundStreams,
+    ) {
+        let lanes = self.stage[range.clone()]
+            .iter()
+            .zip(&self.role[range.clone()])
+            .zip(&self.opinion[range]);
+        chunk.fill_with(lanes.map(|((&s, &r), &o)| SfAgent::shown(s, r, o)));
+    }
+
+    fn chunks_mut(&mut self, chunk_len: usize) -> Vec<SfChunkMut<'_>> {
+        self.split_lanes(chunk_len)
+    }
+
+    fn step_chunk(
+        chunk: &mut SfChunkMut<'_>,
+        range: Range<usize>,
+        observed: &[u64],
+        d: usize,
+        streams: &RoundStreams,
+        awake: Option<&[bool]>,
+    ) {
+        step_records(chunk, range, observed, d, streams, awake);
+    }
+
+    fn flip_source_preferences(&mut self) -> usize {
+        self.role
+            .iter_mut()
+            .map(Role::flip_preference)
+            .filter(|&flipped| flipped)
+            .count()
+    }
+
+    fn opinion(&self, id: usize) -> Opinion {
+        self.opinion[id]
+    }
+
+    fn count_opinion(&self, opinion: Opinion) -> usize {
+        self.opinion.iter().filter(|&&o| o == opinion).count()
+    }
+
+    fn stage_id(&self, id: usize) -> u32 {
+        self.stage[id].id()
+    }
+
+    fn weak_opinion(&self, id: usize) -> Option<Opinion> {
+        self.weak[id]
+    }
+
+    fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
+        let agents = self.opinion.iter().zip(&self.stage).zip(&self.weak);
+        MetricsSweep::tally(correct, agents.map(|((&o, &s), &w)| (o, s.id(), w)))
     }
 }
 
@@ -370,7 +486,6 @@ impl np_engine::snapshot::SnapshotAgent for SfAgent {
 mod tests {
     use super::*;
     use np_engine::channel::ChannelKind;
-    use np_engine::population::PopulationConfig;
     use np_engine::world::World;
     use np_linalg::noise::NoiseMatrix;
     use rand::SeedableRng;
@@ -578,11 +693,49 @@ mod tests {
     }
 
     #[test]
+    fn columns_refuse_records_with_mixed_schedules() {
+        use np_engine::protocol::AgentRecords;
+        let config = PopulationConfig::new(8, 0, 1, 8).unwrap();
+        let slow = SourceFilter::new(SfParams::derive(&config, 0.1, 1.0).unwrap());
+        let fast = SourceFilter::new(SfParams::derive(&config, 0.2, 1.0).unwrap());
+        let mut rng = StreamRng::seed_from_u64(0);
+        let agents = vec![
+            slow.init_agent(Role::NonSource, &mut rng),
+            fast.init_agent(Role::NonSource, &mut rng),
+        ];
+        let err = SfColumns::from_agents(agents).unwrap_err();
+        assert!(
+            matches!(err, np_engine::EngineError::BadSnapshot { .. }),
+            "{err}"
+        );
+        assert!(SfColumns::from_agents(Vec::new()).is_err());
+    }
+
+    #[test]
+    fn columns_gather_and_scatter_whole_records() {
+        // `force_boost_stage` rewrites most of a record; through
+        // `corrupt_agents` it must land in every lane of the columns.
+        let (mut world, _) = sf_world(96, 0, 1, 96, 0.1, 3);
+        world.corrupt_agents(|id, agent, _| {
+            if id % 2 == 0 {
+                agent.force_boost_stage(Opinion::Zero);
+            }
+        });
+        for (id, agent) in world.iter_agents().enumerate() {
+            let boosted = id % 2 == 0;
+            assert_eq!(agent.stage_id(), if boosted { 2 } else { 0 }, "agent {id}");
+            assert_eq!(world.state().stage_id(id), agent.stage_id());
+            assert_eq!(agent.weak_opinion(), boosted.then_some(Opinion::Zero));
+            assert_eq!(world.state().weak_opinion(id), agent.weak_opinion());
+        }
+    }
+
+    #[test]
     fn protocol_accessors() {
         let config = PopulationConfig::new(8, 0, 1, 8).unwrap();
         let params = SfParams::derive(&config, 0.1, 1.0).unwrap();
         let proto = SourceFilter::new(params);
-        assert_eq!(proto.alphabet_size(), 2);
+        assert_eq!(Protocol::alphabet_size(&proto), 2);
         assert_eq!(proto.params(), &params);
         let mut rng = StreamRng::seed_from_u64(0);
         let agent = proto.init_agent(Role::Source(Opinion::One), &mut rng);

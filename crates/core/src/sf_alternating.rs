@@ -25,14 +25,23 @@
 //! phases make the background deterministic within each phase; SF-ALT's
 //! weak opinions are therefore expected to be slightly *less* accurate at
 //! equal `m` — quantified in EXP-VARIANT.
+//!
+//! As with SF, the transition lives once in [`AltSfAgent`]'s
+//! [`AgentState`] impl and `World<AlternatingSourceFilter>` runs it over
+//! the struct-of-arrays [`AltSfColumns`].
 
+use std::ops::Range;
+
+use np_engine::metrics::MetricsSweep;
 use np_engine::opinion::Opinion;
-use np_engine::population::Role;
-use np_engine::protocol::{AgentState, Protocol};
-use np_engine::streams::StreamRng;
+use np_engine::packed::PackedChunkMut;
+use np_engine::population::{PopulationConfig, Role};
+use np_engine::protocol::{step_records, AgentState, ColumnarProtocol, ColumnarState, Protocol};
+use np_engine::streams::{RoundStreams, StreamRng};
 use rand::Rng;
 
 use crate::params::SfParams;
+use crate::sf::majority;
 
 /// The alternating-display Source Filter variant (Remark, §2.1). Shares
 /// [`SfParams`] with [`crate::sf::SourceFilter`]: the same `m`, phase
@@ -62,6 +71,21 @@ enum Stage {
     Boost(u64),
     /// Schedule complete.
     Done,
+}
+
+impl Stage {
+    /// Stage numbering for traces: Listening = 0, Boost(k) = 2 + k,
+    /// Done = `u32::MAX`. Stage 1 is left unused so boost stages line up
+    /// with plain SF's numbering.
+    fn id(self) -> u32 {
+        match self {
+            Stage::Listening => 0,
+            Stage::Boost(k) => u32::try_from(k.saturating_add(2))
+                .unwrap_or(u32::MAX)
+                .min(u32::MAX - 1),
+            Stage::Done => u32::MAX,
+        }
+    }
 }
 
 /// Per-agent state of SF-ALT.
@@ -96,11 +120,25 @@ impl AltSfAgent {
         self.stage == Stage::Done
     }
 
-    fn majority_of_mem(&self, rng: &mut StreamRng) -> Opinion {
-        match self.mem[1].cmp(&self.mem[0]) {
-            std::cmp::Ordering::Greater => Opinion::One,
-            std::cmp::Ordering::Less => Opinion::Zero,
-            std::cmp::Ordering::Equal => Opinion::from_bool(rng.gen()),
+    /// The display rule: while listening, sources show their preference
+    /// and non-sources `b` on even rounds, `1−b` on odd ones; everyone
+    /// shows the opinion while boosting. A function of five fields, so the
+    /// packed display kernel of [`AltSfColumns`] applies it straight from
+    /// the lanes.
+    fn shown(
+        stage: Stage,
+        role: Role,
+        round_in_stage: u64,
+        base_display: Opinion,
+        opinion: Opinion,
+    ) -> usize {
+        match stage {
+            Stage::Listening => match role {
+                Role::Source(pref) => pref.as_index(),
+                Role::NonSource if round_in_stage.is_multiple_of(2) => base_display.as_index(),
+                Role::NonSource => (!base_display).as_index(),
+            },
+            Stage::Boost(_) | Stage::Done => opinion.as_index(),
         }
     }
 }
@@ -129,29 +167,23 @@ impl Protocol for AlternatingSourceFilter {
 
 impl AgentState for AltSfAgent {
     fn display(&self, _rng: &mut StreamRng) -> usize {
-        match self.stage {
-            Stage::Listening => match self.role {
-                Role::Source(pref) => pref.as_index(),
-                Role::NonSource => {
-                    // b on even rounds, 1−b on odd rounds.
-                    if self.round_in_stage.is_multiple_of(2) {
-                        self.base_display.as_index()
-                    } else {
-                        (!self.base_display).as_index()
-                    }
-                }
-            },
-            Stage::Boost(_) | Stage::Done => self.opinion.as_index(),
-        }
+        AltSfAgent::shown(
+            self.stage,
+            self.role,
+            self.round_in_stage,
+            self.base_display,
+            self.opinion,
+        )
     }
 
-    fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
+    fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R) {
         debug_assert_eq!(observed.len(), 2);
         match self.stage {
             Stage::Listening => {
                 self.diff += observed[1] as i64 - observed[0] as i64;
                 self.round_in_stage += 1;
                 if self.round_in_stage >= 2 * self.params.phase_len() {
+                    // The sign of #1s − #0s, ties broken randomly.
                     let weak = match self.diff.cmp(&0) {
                         std::cmp::Ordering::Greater => Opinion::One,
                         std::cmp::Ordering::Less => Opinion::Zero,
@@ -174,7 +206,7 @@ impl AgentState for AltSfAgent {
                     self.params.final_subphase_len()
                 };
                 if self.round_in_stage >= len {
-                    self.opinion = self.majority_of_mem(rng);
+                    self.opinion = majority(self.mem[1], self.mem[0], rng);
                     self.mem = [0, 0];
                     self.round_in_stage = 0;
                     if subphase >= self.params.num_short_subphases() {
@@ -192,17 +224,8 @@ impl AgentState for AltSfAgent {
         self.opinion
     }
 
-    /// Stage numbering for traces: Listening = 0, Boost(k) = 2 + k,
-    /// Done = `u32::MAX`. Stage 1 is left unused so boost stages line up
-    /// with plain SF's numbering.
     fn stage_id(&self) -> u32 {
-        match self.stage {
-            Stage::Listening => 0,
-            Stage::Boost(k) => u32::try_from(k.saturating_add(2))
-                .unwrap_or(u32::MAX)
-                .min(u32::MAX - 1),
-            Stage::Done => u32::MAX,
-        }
+        self.stage.id()
     }
 
     fn weak_opinion(&self) -> Option<Opinion> {
@@ -212,12 +235,105 @@ impl AgentState for AltSfAgent {
     /// Trend-change fault hook: the environment revises the ground truth
     /// (only sources carry a preference to flip).
     fn flip_source_preference(&mut self) -> bool {
-        if let Role::Source(pref) = self.role {
-            self.role = Role::Source(!pref);
-            true
-        } else {
-            false
+        self.role.flip_preference()
+    }
+}
+
+np_engine::record_lanes! {
+    /// Struct-of-arrays population state of SF-ALT — what
+    /// `World<AlternatingSourceFilter>` runs: one lane per [`AltSfAgent`]
+    /// field, the schedule stored once.
+    pub struct AltSfColumns, AltSfChunkMut for AltSfAgent {
+        shared { params: SfParams }
+        lanes {
+            role: Role,
+            stage: Stage,
+            round_in_stage: u64,
+            base_display: Opinion,
+            diff: i64,
+            weak: Option<Opinion>,
+            opinion: Opinion,
+            mem: [u64; 2],
         }
+    }
+}
+
+impl ColumnarProtocol for AlternatingSourceFilter {
+    type State = AltSfColumns;
+
+    fn alphabet_size(&self) -> usize {
+        2
+    }
+
+    fn init_state(&self, config: &PopulationConfig, streams: &RoundStreams) -> AltSfColumns {
+        AltSfColumns::init(self, config, streams)
+    }
+}
+
+impl ColumnarState for AltSfColumns {
+    type ChunkMut<'a> = AltSfChunkMut<'a>;
+
+    fn len(&self) -> usize {
+        self.role.len()
+    }
+
+    fn display_chunk_packed(
+        &self,
+        range: Range<usize>,
+        chunk: &mut PackedChunkMut<'_>,
+        _streams: &RoundStreams,
+    ) {
+        let lanes = self.stage[range.clone()]
+            .iter()
+            .zip(&self.role[range.clone()])
+            .zip(&self.round_in_stage[range.clone()])
+            .zip(&self.base_display[range.clone()])
+            .zip(&self.opinion[range]);
+        chunk.fill_with(lanes.map(|((((&s, &r), &k), &b), &o)| AltSfAgent::shown(s, r, k, b, o)));
+    }
+
+    fn chunks_mut(&mut self, chunk_len: usize) -> Vec<AltSfChunkMut<'_>> {
+        self.split_lanes(chunk_len)
+    }
+
+    fn step_chunk(
+        chunk: &mut AltSfChunkMut<'_>,
+        range: Range<usize>,
+        observed: &[u64],
+        d: usize,
+        streams: &RoundStreams,
+        awake: Option<&[bool]>,
+    ) {
+        step_records(chunk, range, observed, d, streams, awake);
+    }
+
+    fn flip_source_preferences(&mut self) -> usize {
+        self.role
+            .iter_mut()
+            .map(Role::flip_preference)
+            .filter(|&flipped| flipped)
+            .count()
+    }
+
+    fn opinion(&self, id: usize) -> Opinion {
+        self.opinion[id]
+    }
+
+    fn count_opinion(&self, opinion: Opinion) -> usize {
+        self.opinion.iter().filter(|&&o| o == opinion).count()
+    }
+
+    fn stage_id(&self, id: usize) -> u32 {
+        self.stage[id].id()
+    }
+
+    fn weak_opinion(&self, id: usize) -> Option<Opinion> {
+        self.weak[id]
+    }
+
+    fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
+        let agents = self.opinion.iter().zip(&self.stage).zip(&self.weak);
+        MetricsSweep::tally(correct, agents.map(|((&o, &s), &w)| (o, s.id(), w)))
     }
 }
 
@@ -389,7 +505,7 @@ mod tests {
     fn accessors() {
         let p = params(8, 8, 0.1);
         let proto = AlternatingSourceFilter::new(p);
-        assert_eq!(proto.alphabet_size(), 2);
+        assert_eq!(Protocol::alphabet_size(&proto), 2);
         assert_eq!(proto.params(), &p);
     }
 }

@@ -31,14 +31,25 @@
 //!
 //! Symbols index the alphabet as `index = 2·tag + value`:
 //! `0 = (0,0)`, `1 = (0,1)`, `2 = (1,0)`, `3 = (1,1)`.
+//!
+//! The transition lives once, in [`SsfAgent`]'s [`AgentState`] impl — the
+//! record the `np_net` nodes run alone. A
+//! `World<SelfStabilizingSourceFilter>` stores the population
+//! struct-of-arrays ([`SsfColumns`]) and runs the same `display`/`update`
+//! per agent by gathering and scattering records.
 
+use std::ops::Range;
+
+use np_engine::metrics::MetricsSweep;
 use np_engine::opinion::Opinion;
-use np_engine::population::Role;
-use np_engine::protocol::{AgentState, Protocol};
-use np_engine::streams::StreamRng;
+use np_engine::packed::PackedChunkMut;
+use np_engine::population::{PopulationConfig, Role};
+use np_engine::protocol::{step_records, AgentState, ColumnarProtocol, ColumnarState, Protocol};
+use np_engine::streams::{RoundStreams, StreamRng};
 use rand::Rng;
 
 use crate::params::SsfParams;
+use crate::sf::majority;
 
 /// Symbol index of the message `(tag, value)`.
 pub fn encode(tag: bool, value: Opinion) -> usize {
@@ -160,12 +171,19 @@ impl SsfAgent {
         self.mem_size = memory.iter().sum();
     }
 
-    fn majority(one_side: u64, zero_side: u64, rng: &mut StreamRng) -> Opinion {
-        match one_side.cmp(&zero_side) {
-            std::cmp::Ordering::Greater => Opinion::One,
-            std::cmp::Ordering::Less => Opinion::Zero,
-            std::cmp::Ordering::Equal => Opinion::from_bool(rng.gen()),
+    /// The display rule: sources show `(1, preference)`, non-sources
+    /// `(0, weak opinion)`. A function of two fields, so the packed display
+    /// kernel of [`SsfColumns`] applies it straight from the lanes.
+    fn shown(role: Role, weak: Opinion) -> usize {
+        match role {
+            Role::Source(pref) => encode(true, pref),
+            Role::NonSource => encode(false, weak),
         }
+    }
+
+    /// The trace stage: completed update rounds, saturated into `u32`.
+    fn stage_of(updates: u64) -> u32 {
+        u32::try_from(updates).unwrap_or(u32::MAX)
     }
 }
 
@@ -191,13 +209,10 @@ impl Protocol for SelfStabilizingSourceFilter {
 
 impl AgentState for SsfAgent {
     fn display(&self, _rng: &mut StreamRng) -> usize {
-        match self.role {
-            Role::Source(pref) => encode(true, pref),
-            Role::NonSource => encode(false, self.weak),
-        }
+        SsfAgent::shown(self.role, self.weak)
     }
 
-    fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
+    fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R) {
         debug_assert_eq!(observed.len(), 4);
         for (slot, &c) in self.mem.iter_mut().zip(observed) {
             *slot += c;
@@ -211,10 +226,9 @@ impl AgentState for SsfAgent {
         if self.mem_size >= self.m {
             // Weak opinion: majority of second bits among source-tagged
             // messages — (1,1) vs (1,0).
-            self.weak = SsfAgent::majority(self.mem[3], self.mem[2], rng);
+            self.weak = majority(self.mem[3], self.mem[2], rng);
             // Opinion: majority of all second bits — (·,1) vs (·,0).
-            self.opinion =
-                SsfAgent::majority(self.mem[1] + self.mem[3], self.mem[0] + self.mem[2], rng);
+            self.opinion = majority(self.mem[1] + self.mem[3], self.mem[0] + self.mem[2], rng);
             self.mem = [0; 4];
             self.mem_size = 0;
             self.updates = self.updates.saturating_add(1);
@@ -229,7 +243,7 @@ impl AgentState for SsfAgent {
     /// completed update rounds (saturated into `u32`), so stage
     /// transitions show the `m`-sample cadence of Theorem 5.
     fn stage_id(&self) -> u32 {
-        u32::try_from(self.updates).unwrap_or(u32::MAX)
+        SsfAgent::stage_of(self.updates)
     }
 
     fn weak_opinion(&self) -> Option<Opinion> {
@@ -240,12 +254,101 @@ impl AgentState for SsfAgent {
     /// fault is the environment itself revising the ground truth — only
     /// this engine hook may touch the preference.
     fn flip_source_preference(&mut self) -> bool {
-        if let Role::Source(pref) = self.role {
-            self.role = Role::Source(!pref);
-            true
-        } else {
-            false
+        self.role.flip_preference()
+    }
+}
+
+np_engine::record_lanes! {
+    /// Struct-of-arrays population state of SSF — what
+    /// `World<SelfStabilizingSourceFilter>` runs: one lane per
+    /// [`SsfAgent`] field, the capacity `m` stored once.
+    pub struct SsfColumns, SsfChunkMut for SsfAgent {
+        shared { m: u64 }
+        lanes {
+            role: Role,
+            mem: [u64; 4],
+            mem_size: u64,
+            weak: Opinion,
+            opinion: Opinion,
+            updates: u64,
         }
+    }
+}
+
+impl ColumnarProtocol for SelfStabilizingSourceFilter {
+    type State = SsfColumns;
+
+    fn alphabet_size(&self) -> usize {
+        4
+    }
+
+    fn init_state(&self, config: &PopulationConfig, streams: &RoundStreams) -> SsfColumns {
+        SsfColumns::init(self, config, streams)
+    }
+}
+
+impl ColumnarState for SsfColumns {
+    type ChunkMut<'a> = SsfChunkMut<'a>;
+
+    fn len(&self) -> usize {
+        self.role.len()
+    }
+
+    fn display_chunk_packed(
+        &self,
+        range: Range<usize>,
+        chunk: &mut PackedChunkMut<'_>,
+        _streams: &RoundStreams,
+    ) {
+        let lanes = self.role[range.clone()].iter().zip(&self.weak[range]);
+        chunk.fill_with(lanes.map(|(&r, &w)| SsfAgent::shown(r, w)));
+    }
+
+    fn chunks_mut(&mut self, chunk_len: usize) -> Vec<SsfChunkMut<'_>> {
+        self.split_lanes(chunk_len)
+    }
+
+    fn step_chunk(
+        chunk: &mut SsfChunkMut<'_>,
+        range: Range<usize>,
+        observed: &[u64],
+        d: usize,
+        streams: &RoundStreams,
+        awake: Option<&[bool]>,
+    ) {
+        step_records(chunk, range, observed, d, streams, awake);
+    }
+
+    fn flip_source_preferences(&mut self) -> usize {
+        self.role
+            .iter_mut()
+            .map(Role::flip_preference)
+            .filter(|&flipped| flipped)
+            .count()
+    }
+
+    fn opinion(&self, id: usize) -> Opinion {
+        self.opinion[id]
+    }
+
+    fn count_opinion(&self, opinion: Opinion) -> usize {
+        self.opinion.iter().filter(|&&o| o == opinion).count()
+    }
+
+    fn stage_id(&self, id: usize) -> u32 {
+        SsfAgent::stage_of(self.updates[id])
+    }
+
+    fn weak_opinion(&self, id: usize) -> Option<Opinion> {
+        Some(self.weak[id])
+    }
+
+    fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
+        let agents = self.opinion.iter().zip(&self.updates).zip(&self.weak);
+        MetricsSweep::tally(
+            correct,
+            agents.map(|((&o, &u), &w)| (o, SsfAgent::stage_of(u), Some(w))),
+        )
     }
 }
 
@@ -483,7 +586,7 @@ mod tests {
         let config = PopulationConfig::new(8, 0, 1, 8).unwrap();
         let params = SsfParams::derive(&config, 0.1, 1.0).unwrap();
         let proto = SelfStabilizingSourceFilter::new(params);
-        assert_eq!(proto.alphabet_size(), 4);
+        assert_eq!(Protocol::alphabet_size(&proto), 4);
         assert_eq!(proto.params(), &params);
     }
 }

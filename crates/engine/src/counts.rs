@@ -1,5 +1,5 @@
 //! Mean-field counts backend — the third execution backend beside the
-//! scalar and columnar per-agent paths.
+//! two per-agent layouts (per-agent records and struct-of-arrays lanes).
 //!
 //! Under uniform PULL with replacement, the aggregated channel collapses
 //! each agent's round to `Multinomial(h, q)` observation counts with

@@ -36,7 +36,8 @@ use crate::metrics::RoundMetrics;
 
 /// A per-agent state corruption, applied to the fraction of agents a
 /// [`FaultEvent::Corrupt`] selects. `S` is the protocol's population
-/// state (e.g. `ScalarState<SsfAgent>` or a columnar port).
+/// state (e.g. SSF's struct-of-arrays `SsfColumns`, or a `ScalarState`);
+/// reach one agent's record with `AgentRecords::modify_agent`.
 ///
 /// Implemented for free by any `Fn(&mut S, usize, &mut StreamRng)` closure.
 pub trait StateFault<S>: Send + Sync {

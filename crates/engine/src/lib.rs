@@ -77,7 +77,7 @@
 //! use np_engine::channel::ChannelKind;
 //! use np_engine::opinion::Opinion;
 //! use np_engine::population::{PopulationConfig, Role};
-//! use np_engine::protocol::{AgentState, Protocol};
+//! use np_engine::protocol::{AgentState, Protocol, ScalarLayout};
 //! use np_engine::world::World;
 //! use np_linalg::noise::NoiseMatrix;
 //! use np_engine::streams::StreamRng;
@@ -103,11 +103,14 @@
 //!     }
 //! }
 //!
+//! // No struct-of-arrays state of its own: run the records as a `Vec`.
+//! impl ScalarLayout for Majority {}
+//!
 //! impl AgentState for MajorityAgent {
 //!     fn display(&self, _rng: &mut StreamRng) -> usize {
 //!         self.opinion.as_index()
 //!     }
-//!     fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
+//!     fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R) {
 //!         if let Role::Source(p) = self.role {
 //!             self.opinion = p; // sources are stubborn in this toy protocol
 //!             return;
@@ -145,6 +148,7 @@ pub mod channel;
 pub mod counts;
 pub mod faults;
 pub mod invariants;
+pub mod lanes;
 pub mod metrics;
 pub mod opinion;
 pub mod packed;

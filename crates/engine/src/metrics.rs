@@ -153,10 +153,10 @@ impl RoundMetrics {
 /// The result of one observability sweep over the population
 /// ([`crate::protocol::ColumnarState::metrics_sweep`]): the
 /// state-dependent fields of [`RoundMetrics`], before the world adds the
-/// round number and fault labels. Columnar ports fill this in one fused
-/// pass over their lanes; the trait default walks the per-agent
-/// accessors. Both must agree exactly — these numbers flow into
-/// byte-compared run summaries.
+/// round number and fault labels. Struct-of-arrays states fill this in
+/// one fused pass over their lanes; the trait default walks the per-agent
+/// accessors. Both fold through [`MetricsSweep::tally`], so they agree
+/// exactly — these numbers flow into byte-compared run summaries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSweep {
     /// Agents holding the correct opinion.
@@ -168,6 +168,32 @@ pub struct MetricsSweep {
     pub weak_formed: usize,
     /// Of those, how many weak opinions are correct.
     pub weak_correct: usize,
+}
+
+impl MetricsSweep {
+    /// Folds one `(opinion, stage id, weak opinion)` triple per agent into
+    /// a sweep relative to `correct`, stages in ascending id order.
+    pub fn tally(
+        correct: Opinion,
+        agents: impl IntoIterator<Item = (Opinion, u32, Option<Opinion>)>,
+    ) -> MetricsSweep {
+        let mut sweep = MetricsSweep::default();
+        let mut stages = std::collections::BTreeMap::<u32, usize>::new();
+        for (opinion, stage, weak) in agents {
+            if opinion == correct {
+                sweep.correct += 1;
+            }
+            *stages.entry(stage).or_insert(0) += 1;
+            if let Some(weak) = weak {
+                sweep.weak_formed += 1;
+                if weak == correct {
+                    sweep.weak_correct += 1;
+                }
+            }
+        }
+        sweep.stages = stages.into_iter().collect();
+        sweep
+    }
 }
 
 /// Wall-clock time spent in each phase of one round.

@@ -304,16 +304,16 @@ impl PackedChunkMut<'_> {
     }
 
     /// Stores one whole word of plane `plane` — the display bits of the
-    /// 64 agents at chunk-local indices `word * 64 ..` in one write. This
-    /// is the fast path for hand-written columnar ports; bits past the
+    /// 64 agents at chunk-local indices `word * 64 ..` in one write (the
+    /// store behind [`PackedChunkMut::fill_with`]); bits past the
     /// chunk's population (only possible in the final word) are masked
     /// off so the all-tail-zero invariant the popcount histograms rely on
-    /// can never be violated by a caller.
+    /// always holds.
     ///
     /// # Panics
     ///
     /// Panics if `plane` or `word` is out of range.
-    pub fn set_plane_word(&mut self, plane: usize, word: usize, bits: u64) {
+    fn set_plane_word(&mut self, plane: usize, word: usize, bits: u64) {
         assert!(word < self.words(), "word index {word} out of range");
         let valid = self.len - word * 64;
         let mask = if valid >= 64 {
@@ -322,6 +322,51 @@ impl PackedChunkMut<'_> {
             (1u64 << valid) - 1
         };
         self.planes[plane][word] = bits & mask;
+    }
+
+    /// Writes the chunk's symbols, one per agent in order, building each
+    /// 64-agent word in registers and storing it once per plane — the
+    /// display kernel of struct-of-arrays states, which map their lanes
+    /// through their record's display rule. Alphabets wider than two
+    /// planes fall back to per-agent [`set`].
+    ///
+    /// [`set`]: PackedChunkMut::set
+    ///
+    /// # Panics
+    ///
+    /// Panics (one- and two-plane alphabets) if `symbols` yields fewer
+    /// than `self.len()` symbols.
+    pub fn fill_with(&mut self, symbols: impl IntoIterator<Item = usize>) {
+        let mut symbols = symbols.into_iter();
+        match self.planes.len() {
+            1 => self.fill_planes::<1>(&mut symbols),
+            2 => self.fill_planes::<2>(&mut symbols),
+            _ => {
+                self.clear();
+                for (local, symbol) in symbols.by_ref().take(self.len).enumerate() {
+                    self.set(local, symbol);
+                }
+            }
+        }
+    }
+
+    fn fill_planes<const P: usize>(&mut self, symbols: &mut impl Iterator<Item = usize>) {
+        for w in 0..self.words() {
+            let take = (self.len - w * 64).min(64);
+            let mut bits = [0u64; P];
+            let mut filled = 0;
+            for (b, sym) in symbols.by_ref().take(take).enumerate() {
+                debug_assert!(sym < self.d, "symbol {sym} out of range {}", self.d);
+                for (p, plane) in bits.iter_mut().enumerate() {
+                    *plane |= ((sym >> p) as u64 & 1) << b;
+                }
+                filled += 1;
+            }
+            assert_eq!(filled, take, "one symbol per agent");
+            for (p, &plane) in bits.iter().enumerate() {
+                self.set_plane_word(p, w, plane);
+            }
+        }
     }
 
     /// The chunk's partial display histogram, **added** into `out` (so
@@ -511,6 +556,26 @@ mod tests {
         }
         for i in 0..n {
             assert_eq!(p.get(i), i % 4, "agent {i}");
+        }
+    }
+
+    #[test]
+    fn fill_with_matches_per_agent_set() {
+        // One, two and three planes (the last takes the per-agent
+        // fallback), over ragged chunks with dirty planes beforehand.
+        for (n, d) in [(197usize, 2usize), (197, 4), (130, 3), (70, 8)] {
+            let symbol = |i: usize| (i * 11 + 3) % d;
+            let mut want = PackedDisplays::new(n, d);
+            let mut got = PackedDisplays::new(n, d);
+            for i in 0..n {
+                want.set(i, symbol(i));
+                got.set(i, d - 1);
+            }
+            for mut chunk in got.chunks_mut(128) {
+                let start = chunk.start();
+                chunk.fill_with((start..start + chunk.len()).map(symbol));
+            }
+            assert_eq!(got, want, "n={n} d={d}");
         }
     }
 

@@ -30,6 +30,18 @@ impl Role {
             Role::NonSource => None,
         }
     }
+
+    /// Inverts the source preference — the trend-change fault of
+    /// [`crate::faults`]. Returns `true` if there was one to invert.
+    pub fn flip_preference(&mut self) -> bool {
+        match self {
+            Role::Source(p) => {
+                *p = !*p;
+                true
+            }
+            Role::NonSource => false,
+        }
+    }
 }
 
 /// Static description of a population: size, source counts, and per-round
@@ -197,6 +209,16 @@ impl PopulationConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flip_preference_inverts_sources_only() {
+        let mut source = Role::Source(Opinion::Zero);
+        assert!(source.flip_preference());
+        assert_eq!(source, Role::Source(Opinion::One));
+        let mut non = Role::NonSource;
+        assert!(!non.flip_preference());
+        assert_eq!(non, Role::NonSource);
+    }
 
     #[test]
     fn valid_configuration() {

@@ -3,26 +3,34 @@
 //!
 //! Two levels exist:
 //!
-//! * The **scalar** level — [`Protocol`] / [`AgentState`] — one state
-//!   machine per agent, the natural way to write a protocol. Each round the
-//!   world calls [`AgentState::display`] on every agent, routes the
-//!   displayed symbols through the noisy channel, and then calls
-//!   [`AgentState::update`] with the agent's observation counts.
+//! * The **per-agent** level — [`Protocol`] / [`AgentState`] — one record
+//!   per agent carrying that agent's display and update rule. This is
+//!   where each protocol's transition lives, exactly once, and it is what
+//!   runs wherever one agent lives alone (the message-passing nodes of
+//!   `np_net`, wrappers such as the artificial-noise reduction).
 //!
-//! * The **columnar** level — [`ColumnarProtocol`] / [`ColumnarState`] —
-//!   one struct-of-arrays state for the whole population, processed in
-//!   agent *chunks*. This is what [`crate::world::World`] actually runs:
-//!   chunks go to scoped threads, and per-agent RNG streams
-//!   ([`crate::streams`]) keep the result bit-identical for any thread
-//!   count or chunk size.
+//! * The **population** level — [`ColumnarProtocol`] / [`ColumnarState`] —
+//!   one state for the whole population, processed in agent *chunks*. This
+//!   is what [`crate::world::World`] actually runs: chunks go to scoped
+//!   threads, and per-agent RNG streams ([`crate::streams`]) keep the
+//!   result bit-identical for any thread count or chunk size.
 //!
-//! Every scalar protocol is automatically a columnar one through the
-//! blanket adapter (`impl<P: Protocol> ColumnarProtocol for P`), whose
-//! state is a [`ScalarState`] (a plain `Vec` of agents chunked by
-//! sub-slices). Hand-written columnar ports — new types, since the blanket
-//! impl owns the trait for every `Protocol` — replicate the scalar draw
-//! sequence against the same streams and therefore agree bit-for-bit with
-//! their scalar counterparts (tested in the `noisy-pull` crate).
+//! A protocol reaches the population level in one of two ways:
+//!
+//! * it declares [`ScalarLayout`], and the blanket adapter
+//!   (`impl<P: Protocol + ScalarLayout> ColumnarProtocol for P`) runs its
+//!   records as a [`ScalarState`] — a plain `Vec` chunked by sub-slices;
+//! * or it implements [`ColumnarProtocol`] itself with a struct-of-arrays
+//!   state whose chunk kernels gather one agent's record, call its
+//!   [`AgentState::update`], and scatter it back ([`step_records`]) — the
+//!   paper's protocols do this, so the hot loop touches a few contiguous
+//!   lanes instead of striding over fat records, without a second copy of
+//!   the transition.
+//!
+//! Either way [`AgentRecords`] gives per-agent access to the state (the
+//! adversary hooks and experiments read and corrupt agents through it), and
+//! a state whose records have a [`crate::snapshot::SnapshotAgent`] codec is
+//! snapshot-able in the one per-agent layout.
 //!
 //! # Why observations are count vectors
 //!
@@ -36,7 +44,9 @@
 
 use std::ops::Range;
 
-use crate::streams::StreamRng;
+use rand::Rng;
+
+use crate::streams::{LazyRng, StreamRng};
 
 use crate::metrics::MetricsSweep;
 use crate::opinion::Opinion;
@@ -74,8 +84,10 @@ pub trait AgentState: Send + Sync {
 
     /// Consumes this round's observations: `observed[σ]` is how many of the
     /// agent's `h` samples arrived (post-noise) as symbol `σ`. `rng` is the
-    /// agent's [`StreamStage::Update`] stream for the round.
-    fn update(&mut self, observed: &[u64], rng: &mut StreamRng);
+    /// agent's [`StreamStage::Update`] stream for the round — eager
+    /// ([`StreamRng`]) or created on first draw ([`LazyRng`]); both yield
+    /// the same draws.
+    fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R);
 
     /// The agent's current opinion `Y ∈ {0, 1}`.
     fn opinion(&self) -> Opinion;
@@ -107,12 +119,20 @@ pub trait AgentState: Send + Sync {
     }
 }
 
-/// A spreading algorithm in columnar form: a factory for one
-/// struct-of-arrays population state.
+/// Opt-in for the blanket adapter: the protocol runs on the world as a
+/// [`ScalarState`] of its per-agent records.
 ///
-/// Implemented automatically for every [`Protocol`] (via [`ScalarState`]);
-/// implement it directly on a *new* type to provide a hand-tuned columnar
-/// port.
+/// Protocols without a struct-of-arrays state of their own declare it with
+/// an empty `impl ScalarLayout for MyProtocol {}`; protocols that
+/// implement [`ColumnarProtocol`] directly must not.
+pub trait ScalarLayout: Protocol {}
+
+/// A spreading algorithm at the population level: a factory for one
+/// population state.
+///
+/// Implemented automatically for every [`Protocol`] that declares
+/// [`ScalarLayout`] (via [`ScalarState`]); implement it directly to give a
+/// protocol a struct-of-arrays state.
 pub trait ColumnarProtocol {
     /// The whole-population state type.
     type State: ColumnarState;
@@ -122,15 +142,15 @@ pub trait ColumnarProtocol {
 
     /// Builds the initial population state. Implementations must draw each
     /// agent's initialization randomness from
-    /// `streams.rng(id, StreamStage::Init)` so scalar and columnar forms of
-    /// the same protocol initialize identically.
+    /// `streams.rng(id, StreamStage::Init)`, so a struct-of-arrays state and
+    /// the [`ScalarState`] of the same records initialize identically.
     fn init_state(&self, config: &PopulationConfig, streams: &RoundStreams) -> Self::State;
 }
 
 /// Whole-population protocol state, processable in agent chunks.
 ///
-/// The world drives one round as: [`ColumnarState::display_chunk`] over
-/// disjoint ranges (shared `&self`), then the channel fills observations,
+/// The world drives one round as: [`ColumnarState::display_chunk_packed`]
+/// over disjoint ranges (shared `&self`), then the channel fills observations,
 /// then [`ColumnarState::step_chunk`] over the disjoint mutable views
 /// produced by [`ColumnarState::chunks_mut`]. All randomness comes from the
 /// per-agent streams passed in, never from shared state — that is the
@@ -151,28 +171,18 @@ pub trait ColumnarState: Send + Sync {
         self.len() == 0
     }
 
-    /// Writes the displayed symbols of agents `range` into `out` (indexed
-    /// from the start of the range). Implementations needing display
-    /// randomness must use `streams.rng(id, StreamStage::Display)` per
-    /// agent.
-    ///
-    /// This is the *scalar seam*: the exact channel's literal sampling
-    /// path and the equivalence tests consume it. The hot round loop
-    /// displays through [`ColumnarState::display_chunk_packed`] instead.
-    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], streams: &RoundStreams);
-
     /// Writes the displayed symbols of agents `range` into a packed
     /// bit-plane chunk ([`crate::packed`]) — the representation the hot
     /// round loop runs on. `chunk` covers exactly the agents of `range`
     /// (`chunk.start() == range.start`, `chunk.len() == range.len()`);
-    /// implementations must clear it first and must produce **the same
-    /// symbols** as [`ColumnarState::display_chunk`] for the same streams
-    /// — the packed-vs-scalar equivalence tests hold every implementation
-    /// to that.
+    /// implementations must overwrite every agent of it. Display
+    /// randomness, if any, comes from `streams.rng(id, StreamStage::Display)`
+    /// per agent.
     ///
-    /// The blanket scalar adapter routes through
-    /// [`ColumnarState::display_chunk`] in 64-agent windows; hand-written
-    /// columnar ports write bit planes directly.
+    /// The blanket scalar adapter calls each record's
+    /// [`AgentState::display`] in 64-agent windows; struct-of-arrays
+    /// states write whole words with [`PackedChunkMut::fill_with`]. The
+    /// exact channel, which samples literal symbols, unpacks the planes.
     fn display_chunk_packed(
         &self,
         range: Range<usize>,
@@ -222,8 +232,8 @@ pub trait ColumnarState: Send + Sync {
     fn opinion(&self, id: usize) -> Opinion;
 
     /// Number of agents currently holding `opinion`. The default scans
-    /// [`ColumnarState::opinion`]; columnar ports may override with a
-    /// column sweep.
+    /// [`ColumnarState::opinion`]; struct-of-arrays states override it
+    /// with a lane sweep.
     fn count_opinion(&self, opinion: Opinion) -> usize {
         (0..self.len())
             .filter(|&i| self.opinion(i) == opinion)
@@ -256,32 +266,100 @@ pub trait ColumnarState: Send + Sync {
     /// count, stage occupancy, and weak-opinion accuracy, all relative to
     /// `correct`. This is what [`crate::world::World`] collects into
     /// [`crate::metrics::RoundMetrics`] each observed round — the default
-    /// walks the per-agent accessors; columnar ports override it with a
-    /// single fused pass over their lanes. Overrides must be *value*-
-    /// identical to the default (the run-summary artifacts are
-    /// byte-compared), including the ascending-stage-id order.
+    /// walks the per-agent accessors; struct-of-arrays states override it
+    /// with a single fused pass over their lanes. Overrides must be
+    /// *value*-identical to the default (the run-summary artifacts are
+    /// byte-compared); folding through [`MetricsSweep::tally`] guarantees
+    /// it.
     fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
-        let mut sweep = MetricsSweep::default();
-        let mut stages: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
-        for id in 0..self.len() {
-            if self.opinion(id) == correct {
-                sweep.correct += 1;
-            }
-            *stages.entry(self.stage_id(id)).or_insert(0) += 1;
-            if let Some(weak) = self.weak_opinion(id) {
-                sweep.weak_formed += 1;
-                if weak == correct {
-                    sweep.weak_correct += 1;
-                }
-            }
-        }
-        sweep.stages = stages.into_iter().collect();
-        sweep
+        MetricsSweep::tally(
+            correct,
+            (0..self.len()).map(|id| (self.opinion(id), self.stage_id(id), self.weak_opinion(id))),
+        )
     }
 }
 
-/// The adapter state behind the blanket `Protocol → ColumnarProtocol`
-/// impl: a plain vector of scalar agents, chunked by sub-slices.
+/// Per-agent access to a population state: agent `id` is read out as its
+/// [`Protocol::Agent`] record and written back whole.
+///
+/// A [`ScalarState`] hands out clones of its records; a struct-of-arrays
+/// state gathers the record from its lanes and scatters it back. This is
+/// what [`crate::world::World::agent`], [`crate::world::World::iter_agents`]
+/// and [`crate::world::World::corrupt_agents`] (and the per-agent snapshot
+/// codec) run on.
+pub trait AgentRecords: ColumnarState + Sized {
+    /// The per-agent record.
+    type Agent;
+
+    /// A copy of agent `id`'s record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= self.len()`.
+    fn agent(&self, id: usize) -> Self::Agent;
+
+    /// Overwrites agent `id` with `agent`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= self.len()`.
+    fn set_agent(&mut self, id: usize, agent: Self::Agent);
+
+    /// Builds a state from records in id order (the snapshot decoder).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::EngineError::BadSnapshot`] if the records cannot
+    /// share one state (e.g. they disagree on a protocol parameter the
+    /// state stores once).
+    fn from_agents(agents: Vec<Self::Agent>) -> crate::Result<Self>;
+
+    /// Applies `f` to agent `id`'s record and stores the result.
+    fn modify_agent(&mut self, id: usize, f: impl FnOnce(&mut Self::Agent)) {
+        let mut agent = self.agent(id);
+        f(&mut agent);
+        self.set_agent(id, agent);
+    }
+}
+
+/// A mutable chunk view of a struct-of-arrays state that gathers and
+/// scatters whole per-agent records — what [`step_records`] runs on.
+pub trait RecordChunk {
+    /// The per-agent record.
+    type Agent: AgentState;
+
+    /// Visits the chunk's agents in order: gathers each one's record,
+    /// hands `f` its chunk-local index and the record, and scatters the
+    /// record back.
+    fn for_each_record(&mut self, f: impl FnMut(usize, &mut Self::Agent));
+}
+
+/// The update pass of a struct-of-arrays state — the body of its
+/// [`ColumnarState::step_chunk`]: every awake agent's record is fed its
+/// observations through [`AgentState::update`] with a [`LazyRng`] (so a
+/// stream is derived only on an actual draw).
+pub fn step_records<C: RecordChunk>(
+    chunk: &mut C,
+    range: Range<usize>,
+    observed: &[u64],
+    d: usize,
+    streams: &RoundStreams,
+    awake: Option<&[bool]>,
+) {
+    chunk.for_each_record(|i, agent| {
+        if awake.is_some_and(|mask| !mask[i]) {
+            return;
+        }
+        let mut rng = LazyRng::new(streams, range.start + i, StreamStage::Update);
+        agent.update(&observed[i * d..(i + 1) * d], &mut rng);
+    });
+}
+
+/// The adapter state behind the blanket `Protocol + ScalarLayout →
+/// ColumnarProtocol` impl: a plain vector of per-agent records, chunked by
+/// sub-slices. Its update pass hands every agent an eagerly derived
+/// stream, which makes it the reference a struct-of-arrays state of the
+/// same records is tested against.
 #[derive(Debug, Clone)]
 pub struct ScalarState<A> {
     agents: Vec<A>,
@@ -297,10 +375,36 @@ impl<A> ScalarState<A> {
     pub fn agents_mut(&mut self) -> &mut [A] {
         &mut self.agents
     }
+}
 
-    /// Rebuilds a state from decoded agents (snapshot restore path).
-    pub(crate) fn from_agents(agents: Vec<A>) -> Self {
-        ScalarState { agents }
+impl<A: AgentState + Clone> AgentRecords for ScalarState<A> {
+    type Agent = A;
+
+    fn agent(&self, id: usize) -> A {
+        self.agents[id].clone()
+    }
+
+    fn set_agent(&mut self, id: usize, agent: A) {
+        self.agents[id] = agent;
+    }
+
+    fn from_agents(agents: Vec<A>) -> crate::Result<Self> {
+        Ok(ScalarState { agents })
+    }
+
+    fn modify_agent(&mut self, id: usize, f: impl FnOnce(&mut A)) {
+        f(&mut self.agents[id]);
+    }
+}
+
+impl<A: AgentState> ScalarState<A> {
+    /// Writes the displayed symbols of agents `range` into `out`, each
+    /// from the agent's [`StreamStage::Display`] stream.
+    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], streams: &RoundStreams) {
+        for (slot, id) in out.iter_mut().zip(range) {
+            let mut rng = streams.rng(id, StreamStage::Display);
+            *slot = self.agents[id].display(&mut rng);
+        }
     }
 }
 
@@ -314,13 +418,6 @@ impl<A: AgentState> ColumnarState for ScalarState<A> {
         self.agents.len()
     }
 
-    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], streams: &RoundStreams) {
-        for (slot, id) in out.iter_mut().zip(range) {
-            let mut rng = streams.rng(id, StreamStage::Display);
-            *slot = self.agents[id].display(&mut rng);
-        }
-    }
-
     fn display_chunk_packed(
         &self,
         range: Range<usize>,
@@ -331,9 +428,9 @@ impl<A: AgentState> ColumnarState for ScalarState<A> {
         debug_assert_eq!(chunk.len(), range.len());
         chunk.clear();
         let d = chunk.alphabet_size();
-        // Scalar agents produce symbols one at a time; pack through a
-        // stack window so the alphabet invariant is checked with the
-        // same global-agent-naming panic the scalar path raises.
+        // Records produce symbols one at a time; pack through a stack
+        // window so the alphabet invariant is checked with a panic naming
+        // the global agent.
         let mut window = [0usize; 64];
         let mut start = range.start;
         let mut local = 0;
@@ -399,7 +496,7 @@ impl<A: AgentState> ColumnarState for ScalarState<A> {
     }
 }
 
-impl<P: Protocol> ColumnarProtocol for P {
+impl<P: Protocol + ScalarLayout> ColumnarProtocol for P {
     type State = ScalarState<P::Agent>;
 
     fn alphabet_size(&self) -> usize {
@@ -428,6 +525,7 @@ mod tests {
     /// A protocol that displays its opinion and never changes it — enough
     /// to exercise the trait plumbing.
     struct Stubborn;
+    #[derive(Clone)]
     struct StubbornAgent(Opinion);
 
     impl Protocol for Stubborn {
@@ -444,11 +542,13 @@ mod tests {
         fn display(&self, _rng: &mut StreamRng) -> usize {
             self.0.as_index()
         }
-        fn update(&mut self, _observed: &[u64], _rng: &mut StreamRng) {}
+        fn update<R: Rng + ?Sized>(&mut self, _observed: &[u64], _rng: &mut R) {}
         fn opinion(&self) -> Opinion {
             self.0
         }
     }
+
+    impl ScalarLayout for Stubborn {}
 
     #[test]
     fn trait_plumbing_works() {
@@ -489,6 +589,23 @@ mod tests {
             assert_eq!(ColumnarState::stage_id(&state, id), 0);
             assert_eq!(ColumnarState::weak_opinion(&state, id), None);
         }
+    }
+
+    #[test]
+    fn scalar_state_hands_out_and_stores_records() {
+        let cfg = PopulationConfig::new(4, 0, 1, 1).unwrap();
+        let streams = RoundStreams::new(3, 0);
+        let mut state = ColumnarProtocol::init_state(&Stubborn, &cfg, &streams);
+        assert_eq!(state.agent(0).0, Opinion::One);
+        state.set_agent(0, StubbornAgent(Opinion::Zero));
+        state.modify_agent(3, |agent| agent.0 = Opinion::One);
+        let opinions: Vec<Opinion> = (0..4).map(|id| state.opinion(id)).collect();
+        assert_eq!(
+            opinions,
+            [Opinion::Zero, Opinion::Zero, Opinion::Zero, Opinion::One]
+        );
+        let rebuilt = ScalarState::from_agents(state.agents().to_vec()).unwrap();
+        assert_eq!(rebuilt.count_opinion(Opinion::One), 1);
     }
 
     #[test]

@@ -33,16 +33,19 @@
 //! [`SnapReader::finish`] rejects trailing bytes, so truncated or
 //! oversized payloads cannot slip through.
 //!
-//! Protocol states opt in by implementing [`SnapshotState`] (columnar
-//! ports) or [`SnapshotAgent`] (scalar agents; the blanket impl lifts an
-//! agent codec to its [`ScalarState`]). Each implementation carries a
-//! `SNAP_TAG` naming its layout version; restoring a snapshot under a
-//! different tag fails loudly instead of misreading bytes.
+//! Protocols opt in by giving their per-agent record a [`SnapshotAgent`]
+//! codec. Every population state with [`AgentRecords`] of that record —
+//! a [`crate::protocol::ScalarState`] or a struct-of-arrays state alike —
+//! is then a [`SnapshotState`] in the one per-agent layout: the agent
+//! count, then each agent's record in id order (gathered on encode,
+//! scattered on decode). The record's `SNAP_TAG` names the layout version;
+//! restoring a snapshot under a different tag fails loudly instead of
+//! misreading bytes.
 
 use crate::metrics::RoundMetrics;
 use crate::opinion::Opinion;
 use crate::population::Role;
-use crate::protocol::{AgentState, ColumnarState, ScalarState};
+use crate::protocol::{AgentRecords, AgentState, ColumnarState};
 use crate::{EngineError, Result};
 
 /// The format magic, written first in every snapshot.
@@ -296,9 +299,9 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// A scalar agent state that can round-trip through the `np-snap/v1`
-/// encoding. Implementing this lifts the codec to the agent's
-/// [`ScalarState`] via the blanket [`SnapshotState`] impl.
+/// A per-agent record that can round-trip through the `np-snap/v1`
+/// encoding. Implementing this lifts the codec to every population state
+/// holding such records via the blanket [`SnapshotState`] impl.
 pub trait SnapshotAgent: AgentState + Sized {
     /// Layout-version tag for this agent encoding (e.g. `"sf-agent/v1"`).
     /// Restoring under a different tag is rejected.
@@ -318,11 +321,12 @@ pub trait SnapshotAgent: AgentState + Sized {
 
 /// A whole-population protocol state that can round-trip through the
 /// `np-snap/v1` encoding — the hook [`crate::world::World::snapshot`]
-/// and [`crate::world::World::restore`] are generic over.
+/// and [`crate::world::World::restore`] are generic over. Implemented
+/// once, for every [`AgentRecords`] state whose records are
+/// [`SnapshotAgent`]s.
 pub trait SnapshotState: ColumnarState + Sized {
-    /// Layout-version tag for this state encoding (e.g.
-    /// `"sf-columns/v1"`). Scalar and columnar layouts of the same
-    /// protocol carry distinct tags: their bytes are not interchangeable.
+    /// Layout-version tag for this state encoding — the record's
+    /// [`SnapshotAgent::SNAP_TAG`] (e.g. `"sf-agent/v1"`).
     const SNAP_TAG: &'static str;
 
     /// Appends the full population state to `w`.
@@ -385,13 +389,17 @@ pub(crate) fn decode_round_metrics(r: &mut SnapReader<'_>) -> Result<RoundMetric
     })
 }
 
-impl<A: SnapshotAgent> SnapshotState for ScalarState<A> {
-    const SNAP_TAG: &'static str = A::SNAP_TAG;
+impl<S> SnapshotState for S
+where
+    S: AgentRecords,
+    S::Agent: SnapshotAgent,
+{
+    const SNAP_TAG: &'static str = <S::Agent as SnapshotAgent>::SNAP_TAG;
 
     fn encode_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.agents().len());
-        for agent in self.agents() {
-            agent.encode_agent(w);
+        w.put_usize(self.len());
+        for id in 0..self.len() {
+            self.agent(id).encode_agent(w);
         }
     }
 
@@ -399,9 +407,9 @@ impl<A: SnapshotAgent> SnapshotState for ScalarState<A> {
         let n = r.take_usize()?;
         let mut agents = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
-            agents.push(A::decode_agent(r)?);
+            agents.push(S::Agent::decode_agent(r)?);
         }
-        Ok(ScalarState::from_agents(agents))
+        S::from_agents(agents)
     }
 }
 

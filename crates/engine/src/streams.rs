@@ -9,11 +9,13 @@
 //! This is the determinism contract of the parallel engine: because an
 //! agent's randomness is a pure function of its coordinate, the execution
 //! is bit-identical no matter how agents are grouped into chunks or how
-//! chunks are scheduled onto threads. It also means scalar
-//! [`crate::protocol::Protocol`] implementations and their columnar ports
-//! agree exactly — both consume the same streams at the same coordinates.
+//! chunks are scheduled onto threads. It also means a protocol's
+//! struct-of-arrays state and its per-agent records run through the
+//! generic [`crate::protocol::ScalarState`] agree exactly — both consume
+//! the same streams at the same coordinates.
 
 use np_stats::streams::{round_prefix, stream_seed_from_prefix};
+use rand::RngCore;
 
 pub use np_stats::streams::StreamRng;
 
@@ -111,10 +113,72 @@ impl RoundStreams {
     }
 }
 
+/// A per-agent generator created only when a draw actually happens.
+///
+/// Streams are independent and a fresh stream's first draw is a pure
+/// function of its coordinate, so deferring creation until the first draw
+/// is observationally identical to creating the stream up front — it only
+/// skips the derivation on rounds where the agent draws nothing (most
+/// rounds: SF draws at phase boundaries, SSF on ties of an update round).
+#[derive(Debug)]
+pub struct LazyRng<'a> {
+    streams: &'a RoundStreams,
+    agent: usize,
+    stage: StreamStage,
+    rng: Option<StreamRng>,
+}
+
+impl<'a> LazyRng<'a> {
+    /// The generator for `agent` at `stage`, not yet derived.
+    pub fn new(streams: &'a RoundStreams, agent: usize, stage: StreamStage) -> Self {
+        LazyRng {
+            streams,
+            agent,
+            stage,
+            rng: None,
+        }
+    }
+
+    fn get(&mut self) -> &mut StreamRng {
+        let (streams, agent, stage) = (self.streams, self.agent, self.stage);
+        self.rng.get_or_insert_with(|| streams.rng(agent, stage))
+    }
+}
+
+impl RngCore for LazyRng<'_> {
+    fn next_u32(&mut self) -> u32 {
+        self.get().next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.get().next_u64()
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.get().fill_bytes(dest)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
+
+    #[test]
+    fn lazy_rng_matches_eager_stream_rng() {
+        let streams = RoundStreams::new(11, 3);
+        let mut eager = streams.rng(5, StreamStage::Update);
+        let mut lazy = LazyRng::new(&streams, 5, StreamStage::Update);
+        assert!(lazy.rng.is_none(), "nothing derived before a draw");
+        for _ in 0..8 {
+            assert_eq!(lazy.gen::<bool>(), eager.gen::<bool>());
+            assert_eq!(lazy.gen::<u64>(), eager.gen::<u64>());
+        }
+        let (mut a, mut b) = ([0u8; 5], [0u8; 5]);
+        lazy.fill_bytes(&mut a);
+        eager.fill_bytes(&mut b);
+        assert_eq!(a, b);
+    }
 
     #[test]
     fn same_coordinate_same_stream() {

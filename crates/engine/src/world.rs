@@ -39,7 +39,7 @@ use crate::metrics::{
 use crate::opinion::Opinion;
 use crate::packed::{self, PackedDisplays};
 use crate::population::PopulationConfig;
-use crate::protocol::{ColumnarProtocol, ColumnarState, Protocol};
+use crate::protocol::{AgentRecords, ColumnarProtocol, ColumnarState};
 use crate::runner;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotState, SNAP_MAGIC, SNAP_MAGIC_V2};
 use crate::streams::{RoundStreams, StreamStage};
@@ -63,9 +63,10 @@ struct ActiveRamp {
 /// same arguments produce identical executions, regardless of the thread
 /// count either one uses.
 ///
-/// Scalar protocols ([`Protocol`]) run through the blanket columnar
-/// adapter; the extra methods [`World::agent`], [`World::iter_agents`] and
-/// [`World::corrupt_agents`] are available for them.
+/// Whenever the state offers per-agent access ([`AgentRecords`] — every
+/// protocol state in the workspace does), the extra methods
+/// [`World::agent`], [`World::iter_agents`] and [`World::corrupt_agents`]
+/// read and corrupt agents as their per-agent records.
 ///
 /// # Example
 ///
@@ -674,8 +675,8 @@ impl<P: ColumnarProtocol> World<P> {
     /// One O(n) sweep over the population collecting the round snapshot:
     /// correct count, stage occupancy, and weak-opinion accuracy. The
     /// sweep itself is the state's [`ColumnarState::metrics_sweep`] —
-    /// columnar ports override it with fused lane passes; the values are
-    /// identical to the default per-agent walk by contract.
+    /// struct-of-arrays states override it with fused lane passes; the
+    /// values are identical to the default per-agent walk by contract.
     fn collect_round_metrics(&self, faults: Vec<String>) -> RoundMetrics {
         let sweep = self.state.metrics_sweep(self.correct_opinion);
         RoundMetrics {
@@ -1052,38 +1053,44 @@ where
     }
 }
 
-/// Scalar conveniences, available when the protocol runs through the
-/// blanket adapter (its state is a [`crate::protocol::ScalarState`]).
-impl<P: Protocol> World<P> {
-    /// Read access to an agent's state (experiments inspect weak opinions).
+/// Per-agent access, available when the state hands out per-agent records
+/// ([`AgentRecords`]): a struct-of-arrays state gathers and scatters them,
+/// a [`crate::protocol::ScalarState`] clones and stores them.
+impl<P: ColumnarProtocol> World<P>
+where
+    P::State: AgentRecords,
+{
+    /// A copy of agent `id`'s record (experiments inspect weak opinions).
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn agent(&self, id: usize) -> &P::Agent {
-        &self.state.agents()[id]
+    pub fn agent(&self, id: usize) -> <P::State as AgentRecords>::Agent {
+        self.state.agent(id)
     }
 
-    /// Iterates over all agent states in id order.
-    pub fn iter_agents(&self) -> impl Iterator<Item = &P::Agent> {
-        self.state.agents().iter()
+    /// Iterates over copies of all agent records in id order.
+    pub fn iter_agents(&self) -> impl Iterator<Item = <P::State as AgentRecords>::Agent> + '_ {
+        (0..self.state.len()).map(|id| self.state.agent(id))
     }
 
     /// Applies an arbitrary mutation to every agent's state *before* the
     /// run starts — the self-stabilization adversary of Section 1.3. The
-    /// closure receives the agent id, a mutable reference to its state, and
-    /// the agent's [`StreamStage::Corrupt`] stream for the current round.
+    /// closure receives the agent id, a mutable reference to its record,
+    /// and the agent's [`StreamStage::Corrupt`] stream for the current
+    /// round; the mutated record is written back.
     ///
     /// Roles are not passed: the model forbids the adversary from changing
     /// them (it may only corrupt internal state).
     pub fn corrupt_agents<F>(&mut self, mut corrupt: F)
     where
-        F: FnMut(usize, &mut P::Agent, &mut StreamRng),
+        F: FnMut(usize, &mut <P::State as AgentRecords>::Agent, &mut StreamRng),
     {
         let streams = RoundStreams::new(self.seed, self.round);
-        for (id, agent) in self.state.agents_mut().iter_mut().enumerate() {
+        for id in 0..self.state.len() {
             let mut rng = streams.rng(id, StreamStage::Corrupt);
-            corrupt(id, agent, &mut rng);
+            self.state
+                .modify_agent(id, |agent| corrupt(id, agent, &mut rng));
         }
     }
 }
@@ -1103,12 +1110,13 @@ impl<P: ColumnarProtocol> std::fmt::Debug for World<P> {
 mod tests {
     use super::*;
     use crate::population::Role;
-    use crate::protocol::AgentState;
+    use crate::protocol::{AgentState, Protocol, ScalarLayout};
     use rand::Rng;
 
     /// Copy-the-majority test protocol; sources stubbornly display and hold
     /// their preference.
     struct Majority;
+    #[derive(Clone)]
     struct MajorityAgent {
         role: Role,
         opinion: Opinion,
@@ -1125,11 +1133,13 @@ mod tests {
         }
     }
 
+    impl ScalarLayout for Majority {}
+
     impl AgentState for MajorityAgent {
         fn display(&self, _rng: &mut StreamRng) -> usize {
             self.opinion.as_index()
         }
-        fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
+        fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], rng: &mut R) {
             if let Role::Source(p) = self.role {
                 self.opinion = p;
                 return;
@@ -1144,12 +1154,7 @@ mod tests {
             self.opinion
         }
         fn flip_source_preference(&mut self) -> bool {
-            if let Role::Source(p) = self.role {
-                self.role = Role::Source(!p);
-                true
-            } else {
-                false
-            }
+            self.role.flip_preference()
         }
     }
 
@@ -1421,6 +1426,7 @@ mod tests {
     fn rogue_display_is_caught_by_invariants() {
         struct Rogue;
         struct RogueAgent;
+        impl ScalarLayout for Rogue {}
         impl Protocol for Rogue {
             type Agent = RogueAgent;
             fn alphabet_size(&self) -> usize {
@@ -1434,7 +1440,7 @@ mod tests {
             fn display(&self, _rng: &mut StreamRng) -> usize {
                 2
             }
-            fn update(&mut self, _observed: &[u64], _rng: &mut StreamRng) {}
+            fn update<R: Rng + ?Sized>(&mut self, _observed: &[u64], _rng: &mut R) {}
             fn opinion(&self) -> Opinion {
                 Opinion::Zero
             }

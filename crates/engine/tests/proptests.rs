@@ -155,11 +155,13 @@ proptest! {
         seed in any::<u64>()
     ) {
         prop_assume!(s1 < n);
-        use np_engine::protocol::{AgentState, Protocol};
+        use np_engine::protocol::{AgentState, Protocol, ScalarLayout};
         use np_engine::world::World;
 
         struct Flip;
+        #[derive(Clone)]
         struct FlipAgent(Opinion);
+        impl ScalarLayout for Flip {}
         impl Protocol for Flip {
             type Agent = FlipAgent;
             fn alphabet_size(&self) -> usize { 2 }
@@ -169,7 +171,7 @@ proptest! {
         }
         impl AgentState for FlipAgent {
             fn display(&self, _rng: &mut StreamRng) -> usize { self.0.as_index() }
-            fn update(&mut self, observed: &[u64], _rng: &mut StreamRng) {
+            fn update<R: Rng + ?Sized>(&mut self, observed: &[u64], _rng: &mut R) {
                 if observed[1] > observed[0] { self.0 = Opinion::One; }
             }
             fn opinion(&self) -> Opinion { self.0 }

@@ -11,14 +11,16 @@
 //! suffix it already ran, and (by the engine's byte-identical-continuation
 //! contract) produces the same outcome.
 //!
-//! Encoding is hand-rolled in the `report.rs` style (fixed field order,
-//! shortest-roundtrip float rendering) so that encode→decode→encode is
-//! byte-identical — the property the proptest suite pins down. This file
+//! Encoding is hand-rolled with `np_bench::report`'s JSON writers (fixed
+//! field order, shortest-roundtrip float rendering) so that
+//! encode→decode→encode is byte-identical — the property the proptest suite pins down. This file
 //! is a *deterministic-bytes* path: wall clocks and hash-map iteration are
 //! banned here (enforced by `cargo xtask check`).
 
 use std::io::Write;
 use std::path::Path;
+
+use np_bench::report::{json_f64, json_string};
 
 use crate::SweepError;
 
@@ -256,35 +258,6 @@ pub fn load_manifest(path: &Path) -> Result<Vec<JobRecord>, SweepError> {
 /// append-only journal semantics.
 pub fn latest<'a>(records: &'a [JobRecord], job: &str) -> Option<&'a JobRecord> {
     records.iter().rev().find(|r| r.job == job)
-}
-
-/// Escapes a string as a JSON string literal (report.rs conventions).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an `f64` as a JSON number (shortest-roundtrip `Display`, so
-/// equal values render to equal bytes; non-finite becomes `null`).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// A decoded JSON scalar. Numbers keep their raw text so `u64` values

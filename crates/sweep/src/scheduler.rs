@@ -27,11 +27,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use noisy_pull::columnar::sf::ColumnarSourceFilter;
-use noisy_pull::columnar::sf_alt::ColumnarAltSf;
-use noisy_pull::columnar::ssf::ColumnarSsf;
 use noisy_pull::params::{SfParams, SsfParams};
 use noisy_pull::sf::SourceFilter;
+use noisy_pull::sf_alternating::AlternatingSourceFilter;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use np_bench::report::{bench_json, PerfPoint};
 use np_engine::channel::ChannelKind;
@@ -280,8 +278,13 @@ fn run_job(job: &JobSpec, prior: Option<&JobRecord>, ctx: &SweepCtx<'_>) -> Resu
         ProtocolKind::Sf => {
             let params = SfParams::derive(&config, job.delta, job.c1).map_err(err)?;
             let budget = params.total_rounds();
+            drive(&SourceFilter::new(params), config, budget, job, prior, ctx)
+        }
+        ProtocolKind::SfAlt => {
+            let params = SfParams::derive(&config, job.delta, job.c1).map_err(err)?;
+            let budget = params.total_rounds();
             drive(
-                &ColumnarSourceFilter::new(params),
+                &AlternatingSourceFilter::new(params),
                 config,
                 budget,
                 job,
@@ -289,15 +292,17 @@ fn run_job(job: &JobSpec, prior: Option<&JobRecord>, ctx: &SweepCtx<'_>) -> Resu
                 ctx,
             )
         }
-        ProtocolKind::SfAlt => {
-            let params = SfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-            let budget = params.total_rounds();
-            drive(&ColumnarAltSf::new(params), config, budget, job, prior, ctx)
-        }
         ProtocolKind::Ssf => {
             let params = SsfParams::derive(&config, job.delta, job.c1).map_err(err)?;
             let budget = job.budget_intervals * params.update_interval();
-            drive(&ColumnarSsf::new(params), config, budget, job, prior, ctx)
+            drive(
+                &SelfStabilizingSourceFilter::new(params),
+                config,
+                budget,
+                job,
+                prior,
+                ctx,
+            )
         }
     }
 }
@@ -528,7 +533,7 @@ pub fn measure_throughput(spec: &ThroughputSpec) -> Result<Vec<PerfPoint>, Sweep
             let params = SfParams::derive(&config, spec.delta, 1.0).map_err(err)?;
             let noise = NoiseMatrix::uniform(2, spec.delta).map_err(err)?;
             let mut world = World::new(
-                &ColumnarSourceFilter::new(params),
+                &SourceFilter::new(params),
                 config,
                 &noise,
                 ChannelKind::Aggregated,

@@ -31,11 +31,11 @@ use crate::SweepError;
 /// The protocols a sweep can schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
-    /// Algorithm SF (columnar port).
+    /// Algorithm SF.
     Sf,
-    /// Algorithm SSF (columnar port).
+    /// Algorithm SSF.
     Ssf,
-    /// The alternating-display SF variant (columnar port).
+    /// The alternating-display SF variant.
     SfAlt,
 }
 

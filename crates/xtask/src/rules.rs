@@ -370,10 +370,12 @@ pub const SCOPES: &[ScopeDef] = &[
         crates: &[],
         files: &[
             "crates/engine/src/channel.rs",
+            "crates/engine/src/lanes.rs",
+            "crates/engine/src/packed.rs",
             "crates/engine/src/protocol.rs",
-            "crates/core/src/columnar/sf.rs",
-            "crates/core/src/columnar/sf_alt.rs",
-            "crates/core/src/columnar/ssf.rs",
+            "crates/core/src/sf.rs",
+            "crates/core/src/sf_alternating.rs",
+            "crates/core/src/ssf.rs",
             "crates/baselines/src/majority.rs",
         ],
         exclude_files: &[],
@@ -382,7 +384,11 @@ pub const SCOPES: &[ScopeDef] = &[
             "fill_aggregated_chunk",
             "display_chunk",
             "display_chunk_packed",
+            "fill_with",
+            "fill_planes",
             "step_chunk",
+            "step_records",
+            "for_each_record",
         ],
         rules: PHASE_KERNEL_RULES,
     },
@@ -473,6 +479,52 @@ mod tests {
             .contains(&"clock.rs"));
         assert!(!by_name("library").exclude_files.contains(&"clock.rs"));
         assert!(!by_name("hot-path").exclude_files.contains(&"clock.rs"));
+    }
+
+    /// Every file that defines a phase kernel must be in the
+    /// phase-kernel scope, and every file the scope names must exist — so
+    /// a kernel that moves (or a new protocol state that defines one)
+    /// cannot silently escape `hot-loop-rng-construct`.
+    #[test]
+    fn phase_kernel_scope_covers_every_kernel_file() {
+        fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+            let Ok(entries) = std::fs::read_dir(dir) else {
+                return;
+            };
+            for entry in entries.flatten() {
+                let path = entry.path();
+                if path.is_dir() {
+                    rust_files(&path, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    out.push(path);
+                }
+            }
+        }
+        let scope = SCOPES
+            .iter()
+            .find(|s| s.name == "phase-kernel")
+            .expect("phase-kernel scope");
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for file in scope.files {
+            assert!(root.join(file).is_file(), "scope names missing file {file}");
+        }
+        let mut files = Vec::new();
+        rust_files(&root.join("crates"), &mut files);
+        for path in files {
+            let rel = path.strip_prefix(&root).expect("under the root");
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            if !rel.contains("/src/") || rel.starts_with("crates/xtask/") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            let defines_kernel = scope.fns.iter().any(|name| {
+                text.contains(&format!("fn {name}(")) || text.contains(&format!("fn {name}<"))
+            });
+            assert!(
+                !defines_kernel || scope.files.contains(&rel.as_str()),
+                "{rel} defines a phase kernel but is outside the phase-kernel scope"
+            );
+        }
     }
 
     #[test]

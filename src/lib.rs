@@ -9,7 +9,9 @@
 //!
 //! * [`core`] (`noisy-pull`) — the paper's protocols: Source Filter (SF),
 //!   Self-stabilizing Source Filter (SSF), the artificial-noise reduction,
-//!   parameter derivation, and the closed-form theory bounds.
+//!   parameter derivation, and the closed-form theory bounds. Each
+//!   protocol is one type with one transition; a `World` of it runs its
+//!   struct-of-arrays state.
 //! * [`engine`] (`np-engine`) — the noisy PULL(h) simulation engine.
 //! * [`linalg`] (`np-linalg`) — matrices, inversion, and the
 //!   noise-matrix toolkit of the paper's Section 4.
@@ -50,9 +52,6 @@ pub use np_stats as stats;
 /// One-stop imports for examples and downstream quickstarts.
 pub mod prelude {
     pub use noisy_pull::adversary::SsfAdversary;
-    pub use noisy_pull::columnar::sf::ColumnarSourceFilter;
-    pub use noisy_pull::columnar::sf_alt::ColumnarAltSf;
-    pub use noisy_pull::columnar::ssf::ColumnarSsf;
     pub use noisy_pull::params::{SfParams, SsfParams};
     pub use noisy_pull::reduction::WithArtificialNoise;
     pub use noisy_pull::sf::SourceFilter;
@@ -67,7 +66,8 @@ pub mod prelude {
     pub use np_engine::opinion::Opinion;
     pub use np_engine::population::{PopulationConfig, Role};
     pub use np_engine::protocol::{
-        AgentState, ColumnarProtocol, ColumnarState, Protocol, ScalarState,
+        AgentRecords, AgentState, ColumnarProtocol, ColumnarState, Protocol, ScalarLayout,
+        ScalarState,
     };
     pub use np_engine::streams::{RoundStreams, StreamStage};
     pub use np_engine::topology::{Topology, TopologySpec};

@@ -18,7 +18,7 @@ fn budget() -> u64 {
     2 * params.total_rounds()
 }
 
-fn successes<P: Protocol>(proto: &P, delta: f64) -> u32 {
+fn successes<P: ColumnarProtocol>(proto: &P, delta: f64) -> u32 {
     let config = PopulationConfig::new(N, 0, 1, N).unwrap();
     let noise = NoiseMatrix::uniform(proto.alphabet_size(), delta).unwrap();
     let mut wins = 0;

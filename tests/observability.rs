@@ -157,30 +157,6 @@ fn ssf_trace_jsonl_is_thread_count_invariant() {
     }
 }
 
-/// Scalar and columnar SF must serialize the same trace: `stage_id` and
-/// `weak_opinion` are part of the equivalence contract, not just opinions.
-#[test]
-fn columnar_sf_trace_matches_scalar() {
-    let (mut scalar, params) = sf_world();
-    let config = PopulationConfig::new(192, 1, 2, 192).unwrap();
-    let noise = NoiseMatrix::uniform(2, 0.15).unwrap();
-    let mut columnar = World::new(
-        &ColumnarSourceFilter::new(params),
-        config,
-        &noise,
-        ChannelKind::Aggregated,
-        101,
-    )
-    .unwrap();
-    scalar.record_trace();
-    columnar.record_trace();
-    scalar.run(params.total_rounds());
-    columnar.run(params.total_rounds());
-    let scalar_trace = trace_jsonl(scalar.take_trace().unwrap().rounds());
-    let columnar_trace = trace_jsonl(columnar.take_trace().unwrap().rounds());
-    assert_eq!(scalar_trace, columnar_trace);
-}
-
 /// A nontrivial fault plan — corruption, a noise ramp, sleepers and a
 /// trend change — must leave the serialized artifacts byte-identical
 /// across worker thread counts: fault randomness comes from the
@@ -199,11 +175,13 @@ fn faulted_trace_bytes_are_thread_count_invariant() {
                     frac: 0.5,
                     label: "scramble".to_string(),
                     fault: Arc::new(
-                        |state: &mut ScalarState<noisy_pull::ssf::SsfAgent>,
+                        |state: &mut noisy_pull::ssf::SsfColumns,
                          id: usize,
                          rng: &mut StreamRng| {
                             let opinion = Opinion::from_bool(rng.gen());
-                            state.agents_mut()[id].corrupt_state(opinion, opinion, [0; 4]);
+                            state.modify_agent(id, |agent| {
+                                agent.corrupt_state(opinion, opinion, [0; 4]);
+                            });
                         },
                     ),
                 },

@@ -101,17 +101,15 @@ fn mid_run_corruption(
     adversary: SsfAdversary,
     correct: Opinion,
     m: u64,
-) -> FaultEvent<ScalarState<noisy_pull::ssf::SsfAgent>> {
+) -> FaultEvent<noisy_pull::ssf::SsfColumns> {
     use np_engine::streams::StreamRng;
     use std::sync::Arc;
     FaultEvent::Corrupt {
         frac: 1.0,
         label: adversary.name().to_string(),
         fault: Arc::new(
-            move |state: &mut ScalarState<noisy_pull::ssf::SsfAgent>,
-                  id: usize,
-                  rng: &mut StreamRng| {
-                adversary.corrupt(&mut state.agents_mut()[id], correct, m, id, rng);
+            move |state: &mut noisy_pull::ssf::SsfColumns, id: usize, rng: &mut StreamRng| {
+                state.modify_agent(id, |agent| adversary.corrupt(agent, correct, m, id, rng));
             },
         ),
     }

@@ -192,19 +192,20 @@ fn columnar_ssf_packed_artifacts_survive_restore_mid_fault_plan() {
     // The packed hot path under snapshotting, with a ragged population
     // (n % 64 ≠ 0, so the bit planes carry a partial final word): the
     // np-snap/v1 encoding never sees the planes — they are rebuilt empty
-    // on restore and refilled on the next display pass — so a restored
-    // columnar-SSF world must continue byte-identically through a
-    // pending fault plan at every thread count.
+    // on restore and refilled on the next display pass — and SSF's
+    // struct-of-arrays lanes are scattered back from the per-agent
+    // records, so a restored SSF world must continue byte-identically
+    // through a pending fault plan at every thread count.
     let config = PopulationConfig::new(157, 0, 1, 157).unwrap();
     let params = SsfParams::derive(&config, 0.1, 8.0).unwrap();
     let noise = NoiseMatrix::uniform(4, 0.1).unwrap();
-    let protocol = ColumnarSsf::new(params);
+    let protocol = SelfStabilizingSourceFilter::new(params);
     let total = 2 * params.update_interval();
     let snap_at = params.update_interval();
     let make = || World::new(&protocol, config, &noise, ChannelKind::Aggregated, 55).unwrap();
     let faults = || plan(0.1, snap_at + 3);
     check_continuation(
-        "ssf-columnar",
+        "ssf-ragged",
         &protocol,
         &make,
         Some(&faults),

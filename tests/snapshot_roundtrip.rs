@@ -82,3 +82,65 @@ proptest! {
         prop_assert_eq!(restored.round(), 8);
     }
 }
+
+/// Snapshots written before the protocols had one per-agent codec carry a
+/// `*-columns/v1` state tag. Restoring one must fail with a typed
+/// `BadSnapshot` error naming the tag, never panic or misread the bytes.
+#[test]
+fn retired_columns_tags_are_refused_with_bad_snapshot() {
+    use noisy_pull_repro::baselines::majority::HMajority;
+    use np_engine::snapshot::{SnapReader, SnapWriter};
+    use np_engine::EngineError;
+
+    /// Re-encodes `bytes` with its state tag replaced by `tag`.
+    fn retag(bytes: &[u8], tag: &str) -> Vec<u8> {
+        let mut r = SnapReader::new(bytes);
+        let magic = r.take_str().unwrap();
+        r.take_str().unwrap();
+        let rest = &bytes[bytes.len() - r.remaining()..];
+        let mut w = SnapWriter::new();
+        w.put_str(&magic);
+        w.put_str(tag);
+        let mut out = w.into_bytes();
+        out.extend_from_slice(rest);
+        out
+    }
+
+    fn assert_refused<P: ColumnarProtocol>(protocol: &P, world: &World<P>, tag: &str)
+    where
+        P::State: np_engine::snapshot::SnapshotState,
+    {
+        let bytes = retag(&world.snapshot(), tag);
+        match World::restore(protocol, &bytes) {
+            Err(EngineError::BadSnapshot { detail }) => {
+                assert!(detail.contains(tag), "{tag}: {detail}")
+            }
+            Err(other) => panic!("{tag}: expected BadSnapshot, got {other}"),
+            Ok(_) => panic!("{tag}: a retired layout restored"),
+        }
+    }
+
+    let config = PopulationConfig::new(32, 0, 1, 32).unwrap();
+    let sf_params = SfParams::derive(&config, 0.1, 1.0).unwrap();
+    let ssf_params = SsfParams::derive(&config, 0.1, 8.0).unwrap();
+    let (noise2, noise4) = (
+        NoiseMatrix::uniform(2, 0.1).unwrap(),
+        NoiseMatrix::uniform(4, 0.1).unwrap(),
+    );
+    let kind = ChannelKind::Aggregated;
+
+    let sf = SourceFilter::new(sf_params);
+    let world = World::new(&sf, config, &noise2, kind, 1).unwrap();
+    assert_refused(&sf, &world, "sf-columns/v1");
+
+    let ssf = SelfStabilizingSourceFilter::new(ssf_params);
+    let world = World::new(&ssf, config, &noise4, kind, 2).unwrap();
+    assert_refused(&ssf, &world, "ssf-columns/v1");
+
+    let alt = AlternatingSourceFilter::new(sf_params);
+    let world = World::new(&alt, config, &noise2, kind, 3).unwrap();
+    assert_refused(&alt, &world, "sf-alt-columns/v1");
+
+    let world = World::new(&HMajority, config, &noise2, kind, 4).unwrap();
+    assert_refused(&HMajority, &world, "majority-columns/v1");
+}

@@ -87,23 +87,6 @@ fn sf_trajectory_is_thread_count_invariant() {
 }
 
 #[test]
-fn sf_columnar_trajectory_is_thread_count_invariant() {
-    let config = PopulationConfig::new(192, 1, 2, 192).unwrap();
-    let params = SfParams::derive(&config, 0.15, 1.0).unwrap();
-    let noise = NoiseMatrix::uniform(2, 0.15).unwrap();
-    assert_thread_invariant("columnar SF", params.total_rounds(), || {
-        World::new(
-            &ColumnarSourceFilter::new(params),
-            config,
-            &noise,
-            ChannelKind::Aggregated,
-            101,
-        )
-        .unwrap()
-    });
-}
-
-#[test]
 fn ssf_trajectory_is_thread_count_invariant() {
     let (_, params) = ssf_world(55);
     let rounds = params.expected_convergence_rounds() + 2;

@@ -68,7 +68,7 @@ fn sf_complete_topology_is_a_noop() {
     let (config, params, noise) = sf_config();
     assert_complete_is_a_noop("SF", params.total_rounds(), || {
         World::new(
-            &ColumnarSourceFilter::new(params),
+            &SourceFilter::new(params),
             config,
             &noise,
             ChannelKind::Aggregated,
@@ -84,7 +84,7 @@ fn ssf_complete_topology_is_a_noop() {
     let rounds = params.expected_convergence_rounds() + 2;
     assert_complete_is_a_noop("SSF", rounds, || {
         World::new(
-            &ColumnarSsf::new(params),
+            &SelfStabilizingSourceFilter::new(params),
             config,
             &noise,
             ChannelKind::Aggregated,
@@ -99,7 +99,7 @@ fn sf_alt_complete_topology_is_a_noop() {
     let (config, params, noise) = sf_config();
     assert_complete_is_a_noop("SF-ALT", params.total_rounds(), || {
         World::new(
-            &ColumnarAltSf::new(params),
+            &AlternatingSourceFilter::new(params),
             config,
             &noise,
             ChannelKind::Aggregated,
@@ -116,7 +116,7 @@ fn sf_exact_channel_complete_topology_is_a_noop() {
     let (config, params, noise) = sf_config();
     assert_complete_is_a_noop("SF (exact)", params.total_rounds(), || {
         World::new(
-            &ColumnarSourceFilter::new(params),
+            &SourceFilter::new(params),
             config,
             &noise,
             ChannelKind::Exact,
@@ -141,7 +141,7 @@ fn ring_trajectories_are_thread_count_invariant() {
         let mut reference: Option<(Vec<Opinion>, Vec<usize>)> = None;
         for threads in THREADS {
             let mut world = World::new(
-                &ColumnarSourceFilter::new(params),
+                &SourceFilter::new(params),
                 config,
                 &noise,
                 ChannelKind::Aggregated,
@@ -162,7 +162,7 @@ fn ring_trajectories_are_thread_count_invariant() {
         let mut ssf_reference: Option<(Vec<Opinion>, Vec<usize>)> = None;
         for threads in THREADS {
             let mut world = World::new(
-                &ColumnarSsf::new(ssf_params),
+                &SelfStabilizingSourceFilter::new(ssf_params),
                 ssf_cfg,
                 &ssf_noise,
                 ChannelKind::Aggregated,
