@@ -6,23 +6,18 @@
 //! Definition 2 calls for (reach consensus *and stay*), robust against
 //! transient all-correct configurations early in a run.
 
-use std::time::{Duration, Instant};
-
 use noisy_pull::adversary::SsfAdversary;
 use noisy_pull::params::{SfParams, SsfParams};
 use noisy_pull::sf::SourceFilter;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use np_engine::channel::ChannelKind;
-use np_engine::metrics::RunOutcome;
 use np_engine::population::PopulationConfig;
 use np_engine::protocol::ColumnarProtocol;
 use np_engine::runner::{run_batch, suggested_threads};
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
-use np_stats::estimate::{Running, Summary};
+use np_stats::estimate::Summary;
 use np_stats::seeds::SeedSequence;
-
-use crate::report::PerfPoint;
 
 /// Result of one measured run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,75 +238,6 @@ impl SsfSetup {
     }
 }
 
-/// One seeded benchmark run: the engine's [`RunOutcome`] plus the run's
-/// wall-clock cost. The outcome is thread-count-invariant; the wall time
-/// of course is not (it feeds the perf trajectory, never byte-compared
-/// artifacts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunRecord {
-    /// The per-run seed drawn from the batch's [`SeedSequence`].
-    pub seed: u64,
-    /// The engine outcome.
-    pub outcome: RunOutcome,
-    /// Wall-clock time of this run (measured inside the batch worker, so
-    /// it includes scheduler contention — representative of batch
-    /// throughput, not of an isolated run).
-    pub wall: Duration,
-}
-
-/// Runs `runs` seeded jobs in parallel (batch-level parallelism via
-/// [`run_batch`]), recording each seed's outcome and wall time. The
-/// outcomes depend only on `(master_seed, runs, job)`; the timings vary
-/// run to run.
-pub fn run_outcomes<F>(master_seed: u64, runs: usize, job: F) -> Vec<RunRecord>
-where
-    F: Fn(u64) -> RunOutcome + Sync,
-{
-    run_batch(
-        SeedSequence::new(master_seed),
-        runs,
-        suggested_threads(),
-        |seed| {
-            let start = Instant::now();
-            let outcome = job(seed);
-            RunRecord {
-                seed,
-                outcome,
-                wall: start.elapsed(),
-            }
-        },
-    )
-}
-
-/// Aggregates one batch of [`RunRecord`]s into a perf-trajectory point
-/// for [`crate::report::save_bench_json`].
-pub fn perf_point(label: &str, n: usize, records: &[RunRecord]) -> PerfPoint {
-    let mut rounds = Running::new();
-    let mut wall = Running::new();
-    let mut converged = 0usize;
-    for record in records {
-        if let Some(r) = record.outcome.rounds() {
-            converged += 1;
-            rounds.push(r as f64);
-        }
-        wall.push(record.wall.as_secs_f64() * 1e3);
-    }
-    PerfPoint {
-        label: label.to_string(),
-        n,
-        runs: records.len(),
-        converged,
-        mean_rounds: rounds.mean().ok(),
-        mean_wall_ms: wall.mean().unwrap_or(0.0),
-        median_wall_ms: None,
-        p95_wall_ms: None,
-        backend: None,
-        degree: None,
-        convergence_rate: None,
-        messages_total: None,
-    }
-}
-
 /// Aggregates a batch of measurements: success rate plus a [`Summary`] of
 /// the settle rounds of the successful runs (`None` if none succeeded).
 pub fn summarize(measured: &[Measured]) -> (f64, Option<Summary>) {
@@ -382,82 +308,6 @@ mod tests {
         let (zero_rate, none) = summarize(&[]);
         assert_eq!(zero_rate, 0.0);
         assert!(none.is_none());
-    }
-
-    #[test]
-    fn run_outcomes_are_seed_deterministic() {
-        let job = |seed: u64| {
-            let setup = SfSetup::single_source_full_sample(64, 0.1, 1.0);
-            let config = setup.config();
-            let params = setup.params();
-            let noise = NoiseMatrix::uniform(2, 0.1).unwrap();
-            let mut world = World::new(
-                &SourceFilter::new(params),
-                config,
-                &noise,
-                ChannelKind::Aggregated,
-                seed,
-            )
-            .unwrap();
-            world.set_threads(1);
-            world.run_until_consensus(params.total_rounds())
-        };
-        let a = run_outcomes(7, 4, job);
-        let b = run_outcomes(7, 4, job);
-        assert_eq!(a.len(), 4);
-        let outcomes_a: Vec<_> = a.iter().map(|r| r.outcome).collect();
-        let outcomes_b: Vec<_> = b.iter().map(|r| r.outcome).collect();
-        assert_eq!(outcomes_a, outcomes_b);
-        let seeds: Vec<_> = a.iter().map(|r| r.seed).collect();
-        let sequence = SeedSequence::new(7);
-        let expected: Vec<_> = (0..4).map(|i| sequence.seed_at(i)).collect();
-        assert_eq!(seeds, expected);
-    }
-
-    #[test]
-    fn perf_point_aggregates_converged_runs_only() {
-        let records = [
-            RunRecord {
-                seed: 1,
-                outcome: RunOutcome::Converged { rounds: 10 },
-                wall: Duration::from_millis(4),
-            },
-            RunRecord {
-                seed: 2,
-                outcome: RunOutcome::TimedOut {
-                    budget: 100,
-                    correct_at_end: 40,
-                },
-                wall: Duration::from_millis(8),
-            },
-            RunRecord {
-                seed: 3,
-                outcome: RunOutcome::Converged { rounds: 20 },
-                wall: Duration::from_millis(6),
-            },
-        ];
-        let point = perf_point("n=64", 64, &records);
-        assert_eq!(point.label, "n=64");
-        assert_eq!(point.n, 64);
-        assert_eq!(point.runs, 3);
-        assert_eq!(point.converged, 2);
-        assert_eq!(point.mean_rounds, Some(15.0));
-        assert!((point.mean_wall_ms - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn perf_point_with_no_convergence_has_null_mean_rounds() {
-        let records = [RunRecord {
-            seed: 1,
-            outcome: RunOutcome::TimedOut {
-                budget: 5,
-                correct_at_end: 3,
-            },
-            wall: Duration::from_millis(1),
-        }];
-        let point = perf_point("stuck", 8, &records);
-        assert_eq!(point.converged, 0);
-        assert_eq!(point.mean_rounds, None);
     }
 
     #[test]

@@ -12,15 +12,9 @@
 //!   convergence round" drivers for SF, SSF and the baselines, with
 //!   multi-seed batching.
 //!
-//! Run all experiments with:
-//!
-//! ```text
-//! for exp in exp_fig1 exp_logtime exp_speedup_h exp_noise_sweep exp_bias_sweep \
-//!            exp_self_stab exp_lb_tightness exp_weak_opinion exp_boosting \
-//!            exp_reduction exp_baselines exp_conflict; do
-//!     cargo run --release -p np-bench --bin $exp
-//! done
-//! ```
+//! Run every `exp_*` binary, in sorted order, with
+//! `scripts/run_experiments.sh`. Wall-clock performance is measured by the
+//! separate `perfbench` workspace (see `BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -453,7 +453,7 @@ pub struct PerfPoint {
     /// Mean wall-clock per run, milliseconds.
     pub mean_wall_ms: f64,
     /// Median wall-clock per run, milliseconds. Present only for benches
-    /// that record per-seed wall samples (throughput); omitted from the
+    /// that record per-seed wall samples (the cluster bench); omitted from the
     /// JSON when absent so legacy artifacts stay schema-valid.
     pub median_wall_ms: Option<f64>,
     /// 95th-percentile wall-clock per run, milliseconds (nearest-rank

@@ -879,43 +879,6 @@ pub fn sweep_run(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `sweep throughput` — measure wall-clock SF rounds/sec at engine thread
-/// counts 1 and 4 (`--seeds` seeded runs each, default 5) and record the
-/// mean/median/p95 perf points in `BENCH_throughput.json`.
-pub fn sweep_throughput(args: &Args) -> CliResult {
-    let spec = np_sweep::scheduler::ThroughputSpec {
-        n: args.get_or("n", 4096usize).map_err(err)?,
-        rounds: args.get_or("rounds", 200u64).map_err(err)?,
-        delta: args.get_or("delta", 0.2f64).map_err(err)?,
-        seed: args.get_or("seed", 42u64).map_err(err)?,
-        seeds: args.get_or("seeds", 5usize).map_err(err)?,
-    };
-    if args.get_opt::<String>("topology").map_err(err)?.is_some() {
-        return Err(
-            "sweep throughput does not support --topology: the bench measures the \
-             complete-graph hot path (use a `topology =` axis in `sweep run` instead)"
-                .into(),
-        );
-    }
-    args.finish().map_err(err)?;
-    let points = np_sweep::scheduler::measure_throughput(&spec).map_err(err)?;
-    for p in &points {
-        println!(
-            "{}: {:.0} rounds/sec (mean {:.2} ms, median {:.2} ms, p95 {:.2} ms over {} run(s) of {} rounds)",
-            p.label,
-            np_sweep::scheduler::rounds_per_sec(p),
-            p.mean_wall_ms,
-            p.median_wall_ms.unwrap_or(p.mean_wall_ms),
-            p.p95_wall_ms.unwrap_or(p.mean_wall_ms),
-            p.runs,
-            spec.rounds
-        );
-    }
-    let path = np_bench::report::save_bench_json("throughput", &points).map_err(err)?;
-    println!("throughput bench: {}", path.display());
-    Ok(())
-}
-
 /// Flags of the `cluster` subcommand, parsed independently of
 /// [`CommonFlags`]: the node runtime has its own timing vocabulary and
 /// deliberately rejects the round-engine flags that have no meaning for
@@ -1403,12 +1366,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.contains("--restore") && !e.contains("cannot read"), "{e}");
-        // The throughput bench pins the complete-graph hot path.
-        let e = sweep_throughput(&args(&["--n", "64", "--topology", "ring:4"])).unwrap_err();
-        assert!(
-            e.contains("sweep throughput") && e.contains("--topology"),
-            "{e}"
-        );
         // Malformed specs are caught at flag parse time.
         let e = run_sf(&args(&["--n", "64", "--topology", "torus:3"])).unwrap_err();
         assert!(e.contains("--topology") && e.contains("torus"), "{e}");

@@ -22,7 +22,6 @@ COMMANDS:
     run ssf         run Algorithm SSF (Self-stabilizing Source Filter)
     run baseline X  run a baseline: voter | majority | trusting-copy | mean-estimator | push
     sweep run SPEC  run a checkpointed parameter sweep from a spec file
-    sweep throughput  measure SF rounds/sec (threads 1/4, --seeds runs) into BENCH_throughput.json
     cluster         run SF/SSF on the event-driven node runtime (np_net):
                     no global round barrier; nodes exchange PullRequest/
                     PullReply messages over a transport
@@ -85,7 +84,6 @@ SWEEPS:
         (np-bench/v1), byte-identical however the sweep was interrupted,
         resumed or threaded. --stop-after N exits after N checkpoint
         writes (the CI kill switch).
-    sweep throughput [--n N] [--rounds R] [--delta D] [--seed S]
 
 CLUSTER:
     cluster [--protocol sf|ssf] [--transport sim|tcp] [--n N] [--h H]
@@ -140,13 +138,10 @@ fn dispatch(argv: &[String]) -> Result<(), String> {
                         let args = Args::parse(flags.iter().cloned()).map_err(|e| e.to_string())?;
                         match what.as_str() {
                             "run" => commands::sweep_run(&args),
-                            "throughput" => commands::sweep_throughput(&args),
-                            other => Err(format!(
-                                "unknown sweep subcommand `{other}`; try run, throughput"
-                            )),
+                            other => Err(format!("unknown sweep subcommand `{other}`; try run")),
                         }
                     }
-                    [] => Err("sweep: missing subcommand (run SPEC | throughput)".into()),
+                    [] => Err("sweep: missing subcommand (run SPEC)".into()),
                 },
                 "cluster" => {
                     let args = Args::parse(rest.iter().cloned()).map_err(|e| e.to_string())?;

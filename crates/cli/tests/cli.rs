@@ -93,6 +93,11 @@ fn errors_exit_nonzero_with_message() {
     assert!(err.contains("--bogus"), "{err}");
     let err = run_err(&["frobnicate"]);
     assert!(err.contains("unknown command"), "{err}");
+    let err = run_err(&["sweep", "throughput"]);
+    assert!(
+        err.contains("unknown sweep subcommand `throughput`; try run"),
+        "{err}"
+    );
     let err = run_err(&["run", "ssf", "--adversary", "gremlin", "--n", "64"]);
     assert!(err.contains("gremlin"), "{err}");
     let err = run_err(&["reduce", "--rows", "0.3,0.7;0.7,0.3"]);

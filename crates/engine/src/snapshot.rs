@@ -307,7 +307,9 @@ pub trait SnapshotAgent: AgentState + Sized {
     /// Restoring under a different tag is rejected.
     const SNAP_TAG: &'static str;
 
-    /// Appends this agent's full state to `w`.
+    /// Appends this agent's full state to `w`: at least one byte, which
+    /// [`crate::world::World::restore`] relies on to bound the declared
+    /// population by the input length.
     fn encode_agent(&self, w: &mut SnapWriter);
 
     /// Decodes one agent previously written by

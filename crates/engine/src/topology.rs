@@ -155,11 +155,21 @@ impl Topology {
     ///
     /// Returns [`EngineError::BadTopology`] when the spec cannot cover
     /// the population (ring wider than the cycle, degree ≥ n, odd total
-    /// stub count, or a degree sequence the switch repair cannot realize
-    /// as a simple graph).
+    /// stub count, a degree sequence the switch repair cannot realize
+    /// as a simple graph, or a non-complete graph whose largest agent id
+    /// `n − 1` does not fit the `u32` neighbor ids).
     pub fn build(spec: TopologySpec, n: usize, seed: u64) -> Result<Self> {
         if n == 0 {
             return Err(bad("topology over an empty population"));
+        }
+        // Neighbor ids are stored as `u32`; the `as u32` casts below rely
+        // on this check, made before anything is allocated.
+        if !spec.is_complete() && u32::try_from(n - 1).is_err() {
+            return Err(bad(format!(
+                "{} over n = {n} agents: agent ids above {} do not fit the u32 neighbor ids",
+                spec.label(),
+                u32::MAX
+            )));
         }
         match spec {
             TopologySpec::Complete => Ok(Topology {
@@ -171,11 +181,12 @@ impl Topology {
                 max_degree: n - 1,
             }),
             TopologySpec::Ring { k } => {
-                if 2 * k > n.saturating_sub(1) {
+                // Saturating: a k decoded from untrusted bytes may be huge.
+                let degree = k.saturating_mul(2);
+                if degree > n - 1 {
                     return Err(bad(format!(
-                        "ring:{k} needs at least {} agents (degree 2k = {} must stay below n)",
-                        2 * k + 1,
-                        2 * k
+                        "ring:{k} needs at least {} agents (degree 2k = {degree} must stay below n)",
+                        degree.saturating_add(1)
                     )));
                 }
                 let mut lists: Vec<Vec<u32>> = Vec::with_capacity(n);
@@ -427,6 +438,30 @@ mod tests {
         }
         assert!(TopologySpec::parse("complete").unwrap().is_complete());
         assert!(!TopologySpec::parse("ring:1").unwrap().is_complete());
+    }
+
+    #[test]
+    fn ring_with_huge_k_is_rejected_without_overflow() {
+        let err = Topology::build(TopologySpec::Ring { k: usize::MAX }, 16, 1).unwrap_err();
+        assert!(matches!(err, EngineError::BadTopology { .. }), "{err}");
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn non_complete_graphs_reject_ids_beyond_u32() {
+        let too_big = u32::MAX as usize + 2; // largest id is u32::MAX + 1
+        for spec in [
+            TopologySpec::Ring { k: 1 },
+            TopologySpec::RandomRegular { d: 2 },
+            TopologySpec::PowerLaw { alpha: 2.5 },
+        ] {
+            let err = Topology::build(spec, too_big, 1).unwrap_err();
+            assert!(matches!(err, EngineError::BadTopology { .. }), "{err}");
+            assert!(err.to_string().contains("u32"), "{err}");
+        }
+        // The complete graph stores no ids, so it has no such bound.
+        let complete = Topology::build(TopologySpec::Complete, too_big, 1).unwrap();
+        assert_eq!(complete.min_degree(), too_big - 1);
     }
 
     #[test]

@@ -916,6 +916,17 @@ where
             )));
         }
         let n = r.take_usize()?;
+        // Every agent record encodes to at least one byte (see
+        // `SnapshotAgent`), so a declared population larger than the rest
+        // of the input is corrupt. Checking here bounds every allocation
+        // sized by n below (topology, sleep horizons, agent records) by
+        // the input's length.
+        if n > r.remaining() {
+            return Err(bad(format!(
+                "snapshot declares {n} agents but only {} bytes remain",
+                r.remaining()
+            )));
+        }
         let s0 = r.take_usize()?;
         let s1 = r.take_usize()?;
         let h = r.take_usize()?;

@@ -20,8 +20,8 @@
 //!
 //! The aggregated `report.json` contains trajectory data only
 //! (`mean_wall_ms` is pinned to 0), so an interrupted-and-resumed sweep
-//! reproduces the uninterrupted report byte for byte. Wall clocks appear
-//! only in [`measure_throughput`], whose output is never byte-compared.
+//! reproduces the uninterrupted report byte for byte. Nothing here reads a
+//! wall clock.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -498,88 +498,6 @@ pub fn aggregate(spec: &SweepSpec, records: &[JobRecord]) -> Result<Vec<PerfPoin
     Ok(points)
 }
 
-/// Parameters for the throughput micro-benchmark.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputSpec {
-    /// Population size.
-    pub n: usize,
-    /// Rounds to execute per measurement.
-    pub rounds: u64,
-    /// Uniform noise level.
-    pub delta: f64,
-    /// Base RNG seed; run `i` uses `seed + i`.
-    pub seed: u64,
-    /// Seeded runs per thread-count point (clamped to at least 1).
-    pub seeds: usize,
-}
-
-/// Measures wall-clock SF throughput (rounds/sec) at `spec.n` for engine
-/// thread counts 1 and 4: `spec.seeds` seeded runs per thread count,
-/// aggregated into one [`PerfPoint`] carrying mean/median/p95 wall-ms.
-/// Wall clocks live here — and only here — in this crate: throughput
-/// points feed `BENCH_throughput.json`, which is never byte-compared.
-///
-/// # Errors
-///
-/// Returns [`SweepError`] for invalid parameters.
-pub fn measure_throughput(spec: &ThroughputSpec) -> Result<Vec<PerfPoint>, SweepError> {
-    let mut points = Vec::new();
-    let seeds = spec.seeds.max(1);
-    for threads in [1usize, 4] {
-        let mut samples_ms = Vec::with_capacity(seeds);
-        let mut converged = 0usize;
-        for run in 0..seeds {
-            let config = PopulationConfig::new(spec.n, 0, 1, spec.n).map_err(err)?;
-            let params = SfParams::derive(&config, spec.delta, 1.0).map_err(err)?;
-            let noise = NoiseMatrix::uniform(2, spec.delta).map_err(err)?;
-            let mut world = World::new(
-                &SourceFilter::new(params),
-                config,
-                &noise,
-                ChannelKind::Aggregated,
-                spec.seed + run as u64,
-            )
-            .map_err(err)?;
-            world.set_threads(threads);
-            // xtask-allow: wall-clock (throughput is the one sanctioned timing site)
-            let start = std::time::Instant::now();
-            world.run(spec.rounds);
-            samples_ms.push(start.elapsed().as_secs_f64() * 1000.0);
-            converged += usize::from(world.is_consensus());
-        }
-        let mean = samples_ms.iter().sum::<f64>() / samples_ms.len() as f64;
-        // The fallback is unreachable: seeds >= 1, so samples_ms is never
-        // empty and wall_quantiles always returns the real order stats.
-        let (median, p95) = np_bench::report::wall_quantiles(&samples_ms).unwrap_or((mean, mean));
-        points.push(PerfPoint {
-            label: format!("sf n={} threads={threads}", spec.n),
-            n: spec.n,
-            runs: seeds,
-            converged,
-            mean_rounds: Some(spec.rounds as f64),
-            mean_wall_ms: mean,
-            median_wall_ms: Some(median),
-            p95_wall_ms: Some(p95),
-            backend: None,
-            degree: None,
-            convergence_rate: None,
-            messages_total: None,
-        });
-    }
-    Ok(points)
-}
-
-/// Rounds/sec encoded by a throughput [`PerfPoint`] (rounds over wall
-/// time; 0 when the wall time is 0).
-pub fn rounds_per_sec(point: &PerfPoint) -> f64 {
-    let rounds = point.mean_rounds.unwrap_or(0.0);
-    if point.mean_wall_ms > 0.0 {
-        rounds / (point.mean_wall_ms / 1000.0)
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,28 +685,5 @@ mod tests {
         let mut opts = SweepOptions::new(out);
         opts.checkpoint_every = 0;
         assert!(run_sweep(&spec(1), &opts).is_err());
-    }
-
-    #[test]
-    fn throughput_points_cover_both_thread_counts() {
-        let points = measure_throughput(&ThroughputSpec {
-            n: 64,
-            rounds: 20,
-            delta: 0.1,
-            seed: 3,
-            seeds: 5,
-        })
-        .unwrap();
-        assert_eq!(points.len(), 2);
-        assert!(points[0].label.contains("threads=1"));
-        assert!(points[1].label.contains("threads=4"));
-        for p in &points {
-            assert_eq!(p.mean_rounds, Some(20.0));
-            assert!(rounds_per_sec(p) >= 0.0);
-            assert_eq!(p.runs, 5);
-            let median = p.median_wall_ms.expect("per-seed quantiles recorded");
-            let p95 = p.p95_wall_ms.expect("per-seed quantiles recorded");
-            assert!(median <= p95, "median {median} > p95 {p95}");
-        }
     }
 }

@@ -13,6 +13,8 @@
 //! Supported schemas: `np-bench/v1`, `np-run-summary/v1`,
 //! `np-manifest/v1` (JSONL), `np-lint/v1` (JSONL).
 
+use std::path::{Path, PathBuf};
+
 use crate::json::{self, Json};
 
 /// Keys of an np-bench/v1 document, in writer order.
@@ -86,6 +88,27 @@ const MANIFEST_KEYS: &[&str] = &[
 const LINT_KEYS: &[&str] = &[
     "file", "line", "rule", "severity", "scope", "message", "excerpt",
 ];
+
+/// The artifacts `check-artifacts` validates when given no paths: every
+/// `BENCH_*.json` file directly under `root`, in sorted order. The set is
+/// read from the directory, so a BENCH file cannot be added or deleted
+/// without the gate following. `BENCHMARK.json` does not match.
+///
+/// # Errors
+///
+/// Returns the I/O error if `root` cannot be listed.
+pub fn default_artifacts(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut paths = Vec::new();
+    for entry in std::fs::read_dir(root)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            paths.push(path);
+        }
+    }
+    paths.sort();
+    Ok(paths)
+}
 
 /// Validates one artifact file's *text*, sniffing the schema from the
 /// first JSON value. Returns a one-line description of what was
@@ -605,6 +628,29 @@ mod tests {
   ]
 }
 "#;
+
+    #[test]
+    fn workspace_default_set_is_the_committed_bench_files() {
+        // Sorted, and `BENCHMARK.json` (also at the root) is not picked up.
+        // A BENCH file added or deleted at the root must update this pin.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .unwrap();
+        let names: Vec<String> = default_artifacts(root)
+            .unwrap()
+            .iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "BENCH_cluster.json",
+                "BENCH_fault_recovery.json",
+                "BENCH_topology.json"
+            ]
+        );
+    }
 
     #[test]
     fn good_bench_validates() {

@@ -1,16 +1,11 @@
-//! The retired line-and-needle scanner, preserved as a *test oracle*.
+//! The retired line scanner's sanitizer, preserved as a *test oracle*.
 //!
-//! Nothing in the lint driver calls this module. It exists so the test
-//! suite can (a) pin the new lexer's string/comment stripping against the
-//! old sanitizer over the whole workspace corpus (see
-//! `tests/lexer_corpus.rs`), and (b) prove — not just claim — that the
-//! grouped-import and renamed-import regression fixtures dodge the old
-//! needle scanner while firing under the token analyzer.
+//! `cargo xtask lint` never runs this code. `tests/lexer_corpus.rs` pins the
+//! new lexer's string/comment stripping against it over the whole
+//! workspace corpus and a proptest grammar.
 //!
-//! The code below is the legacy implementation verbatim (sanitizer,
-//! directive parser, and the needle tables for the rules whose false
-//! negatives motivated the rewrite). Do not "improve" it: its value is
-//! being exactly as blind as it used to be.
+//! The code below is the legacy sanitizer verbatim. Do not "improve" it:
+//! its value is being exactly as blind as it used to be.
 
 /// A line split into sanitized code (strings/chars blanked) and the body
 /// of its `//` comment, if any.
@@ -22,15 +17,6 @@ pub struct SplitLine {
     pub comment: String,
 }
 
-/// The legacy `protocol-instant` needles. `use std::time::{.., Instant}`
-/// and `use std::time::Instant as Clock` never contain this substring on
-/// the line that names or uses `Instant` — the documented false negative.
-pub const PROTOCOL_INSTANT_NEEDLES: &[&str] = &["time::Instant"];
-
-/// The legacy `wall-clock` needles; `Clock::now()` behind a rename
-/// contains neither.
-pub const WALL_CLOCK_NEEDLES: &[&str] = &["SystemTime::now", "Instant::now"];
-
 /// Sanitizes every line of a file the way the old scanner did: strings
 /// blanked to `""`, chars to `' '`, `//` comments split off, `/* */`
 /// comments removed with state carried across lines.
@@ -38,39 +24,6 @@ pub fn sanitize_file(text: &str) -> Vec<String> {
     let mut in_block_comment = false;
     text.lines()
         .map(|line| sanitize(line, &mut in_block_comment).code)
-        .collect()
-}
-
-/// The legacy needle scan: returns the 1-based lines whose sanitized code
-/// contains any of `needles`. No test-region or allow handling — this is
-/// the raw substring matcher the fixtures must provably dodge.
-pub fn needle_lines(text: &str, needles: &[&str]) -> Vec<usize> {
-    sanitize_file(text)
-        .iter()
-        .enumerate()
-        .filter(|(_, code)| needles.iter().any(|n| code.contains(n)))
-        .map(|(idx, _)| idx + 1)
-        .collect()
-}
-
-/// Parses `xtask-allow: a, b` directives out of a comment body (legacy
-/// behavior, kept for parity tests against the new directive parser).
-pub fn parse_allows(comment: &str) -> Vec<String> {
-    let Some(pos) = comment.find("xtask-allow:") else {
-        return Vec::new();
-    };
-    comment[pos + "xtask-allow:".len()..]
-        .split(',')
-        .map(|part| {
-            // Keep the leading rule-name token; anything after it (e.g. a
-            // parenthesized justification) is free-form commentary.
-            let trimmed = part.trim();
-            let end = trimmed
-                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-                .unwrap_or(trimmed.len());
-            trimmed[..end].to_owned()
-        })
-        .filter(|name| !name.is_empty())
         .collect()
 }
 
@@ -158,24 +111,5 @@ mod tests {
         let s = sanitize("let s = \"thread_rng\"; let c = 'x'; // note", &mut blk);
         assert_eq!(s.code, "let s = \"\"; let c = ' '; ");
         assert_eq!(s.comment, "// note");
-    }
-
-    #[test]
-    fn needle_scan_misses_grouped_imports() {
-        // The documented false negative this module exists to demonstrate.
-        let text = "use std::time::{Duration, Instant};\n";
-        assert!(needle_lines(text, PROTOCOL_INSTANT_NEEDLES).is_empty());
-    }
-
-    #[test]
-    fn needle_scan_catches_spelled_out_import() {
-        let text = "use std::time::Instant;\n";
-        assert_eq!(needle_lines(text, PROTOCOL_INSTANT_NEEDLES), vec![1]);
-    }
-
-    #[test]
-    fn directive_parsing_handles_lists() {
-        let allows = parse_allows("// xtask-allow: unwrap, float-eq (sentinel)");
-        assert_eq!(allows, vec!["unwrap".to_owned(), "float-eq".to_owned()]);
     }
 }

@@ -14,7 +14,8 @@
 //! - `check` — alias for `lint` (the pre-np-lint/v1 spelling, kept for
 //!   muscle memory and old scripts).
 //! - `check-artifacts [paths...]` — validate committed JSON artifacts
-//!   against their v1 schemas (defaults to the four `BENCH_*.json`).
+//!   against their v1 schemas (defaults to every `BENCH_*.json` at the
+//!   workspace root).
 //! - `list-rules` — alias for `lint --list`.
 
 #![forbid(unsafe_code)]
@@ -31,15 +32,6 @@ use xtask::rules::{
 };
 use xtask::scanner::{analyze_source, FileClass, Finding, RuleSet};
 
-/// The committed artifacts `check-artifacts` validates by default.
-const DEFAULT_ARTIFACTS: &[&str] = &[
-    "BENCH_scale.json",
-    "BENCH_throughput.json",
-    "BENCH_fault_recovery.json",
-    "BENCH_topology.json",
-    "BENCH_cluster.json",
-];
-
 const USAGE: &str = "\
 usage: cargo xtask <command>
 
@@ -54,8 +46,7 @@ commands:
         alias for `lint`
   check-artifacts [paths...]
         validate JSON artifacts against their v1 schemas
-        (default: BENCH_scale.json BENCH_throughput.json BENCH_fault_recovery.json
-         BENCH_topology.json BENCH_cluster.json)
+        (default: every BENCH_*.json at the workspace root, sorted)
   list-rules
         alias for `lint --list`
 ";
@@ -252,7 +243,13 @@ fn collect_rs_files(dir: &Path) -> Vec<PathBuf> {
 fn run_check_artifacts(args: &[String]) -> ExitCode {
     let root = workspace_root();
     let paths: Vec<PathBuf> = if args.is_empty() {
-        DEFAULT_ARTIFACTS.iter().map(|p| root.join(p)).collect()
+        match artifacts::default_artifacts(&root) {
+            Ok(paths) => paths,
+            Err(err) => {
+                println!("FAIL: {}: {err}", root.display());
+                return ExitCode::FAILURE;
+            }
+        }
     } else {
         args.iter()
             .map(|p| {

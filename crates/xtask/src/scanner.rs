@@ -461,17 +461,28 @@ fn contains_seq(hay: &[&str], needle: &[&str]) -> bool {
         && hay.windows(needle.len()).any(|w| w == needle)
 }
 
-/// Parses the rule names out of a directive comment. Unlike the legacy
-/// parser this stops the name list at the first `(`: justifications are
-/// free-form prose, and a comma inside one must not spawn phantom rule
-/// names (which the stale-allow analysis would then flag as unknown).
+/// Parses the rule names out of a directive comment. The name list stops
+/// at the first `(`: justifications are free-form prose, and a comma
+/// inside one must not spawn phantom rule names (which the stale-allow
+/// analysis would then flag as unknown).
 fn parse_allow_names(comment: &str) -> Vec<String> {
     let Some(pos) = comment.find("xtask-allow:") else {
         return Vec::new();
     };
     let body = &comment[pos + "xtask-allow:".len()..];
-    let body = &body[..body.find('(').unwrap_or(body.len())];
-    crate::legacy::parse_allows(&format!("xtask-allow:{body}"))
+    body[..body.find('(').unwrap_or(body.len())]
+        .split(',')
+        .map(|part| {
+            // Keep the leading rule-name token; anything after it is
+            // free-form commentary.
+            let trimmed = part.trim();
+            let end = trimmed
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .unwrap_or(trimmed.len());
+            trimmed[..end].to_owned()
+        })
+        .filter(|name| !name.is_empty())
+        .collect()
 }
 
 /// One parsed `xtask-allow` directive instance.
@@ -620,6 +631,13 @@ mod tests {
         let text = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n\
                     fn after() { y.unwrap(); }\n";
         assert_eq!(rules_of(&scan(text)), vec![("unwrap", 5)]);
+    }
+
+    #[test]
+    fn directive_parsing_handles_lists() {
+        let allows = parse_allow_names("// xtask-allow: unwrap, float-eq (sentinel, see above)");
+        assert_eq!(allows, vec!["unwrap".to_owned(), "float-eq".to_owned()]);
+        assert!(parse_allow_names("// no directive here").is_empty());
     }
 
     #[test]

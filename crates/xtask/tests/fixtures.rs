@@ -4,12 +4,10 @@
 //! `tests/fixtures/` (a subdirectory, so cargo does not compile them as
 //! test targets).
 //!
-//! The grouped/renamed-import fixtures are additionally checked against
-//! the preserved legacy needle scanner ([`xtask::legacy`]) to *prove*
-//! they dodge it: the rewrite's motivating false negatives are pinned
-//! here as regression tests, not just described in comments.
+//! The grouped/renamed-import fixtures pin the import shapes a line-level
+//! substring scan cannot see (`use std::time::{Duration, Instant}`,
+//! `use std::time::Instant as Clock`): the analyzer must resolve them.
 
-use xtask::legacy;
 use xtask::rules::{
     all_rule_names, BASE_RULES, HOT_LOOP_RULES, HOT_PATH_RULES, PHASE_KERNEL_RULES,
     PROTOCOL_CLOCK_RULES, SNAPSHOT_PATH_RULES, UNKNOWN_ALLOW_MSG,
@@ -202,7 +200,7 @@ fn stale_allow_flags_unused_and_unknown_directives() {
 }
 
 #[test]
-fn grouped_import_fires_and_provably_dodges_the_needle_scanner() {
+fn grouped_import_fires_at_import_and_use_site() {
     let got = analyze(
         "grouped_instant.rs",
         FileClass::LibrarySource,
@@ -214,17 +212,10 @@ fn grouped_import_fires_and_provably_dodges_the_needle_scanner() {
         ("wall-clock".to_owned(), 9),
     ];
     assert_eq!(got, want);
-    // The legacy scanner's protocol-instant needle never matches this
-    // file: the grouped import was its documented false negative.
-    let text = fixture_text("grouped_instant.rs");
-    assert!(
-        legacy::needle_lines(&text, legacy::PROTOCOL_INSTANT_NEEDLES).is_empty(),
-        "legacy needle scan was supposed to miss the grouped import"
-    );
 }
 
 #[test]
-fn renamed_import_fires_and_provably_dodges_the_needle_scanner() {
+fn renamed_import_fires_at_import_and_use_site() {
     let got = analyze(
         "renamed_instant.rs",
         FileClass::LibrarySource,
@@ -236,18 +227,6 @@ fn renamed_import_fires_and_provably_dodges_the_needle_scanner() {
         ("wall-clock".to_owned(), 9),
     ];
     assert_eq!(got, want);
-    let text = fixture_text("renamed_instant.rs");
-    // The rename leaves `time::Instant` only on the import line; the use
-    // site (`Clock::now()`) matches no legacy needle at all.
-    assert_eq!(
-        legacy::needle_lines(&text, legacy::PROTOCOL_INSTANT_NEEDLES),
-        vec![6],
-        "legacy saw only the import, never the renamed use site"
-    );
-    assert!(
-        legacy::needle_lines(&text, legacy::WALL_CLOCK_NEEDLES).is_empty(),
-        "legacy wall-clock needles were supposed to miss `Clock::now()`"
-    );
 }
 
 #[test]

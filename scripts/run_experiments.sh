@@ -9,12 +9,11 @@ if [[ "${NP_SKIP_CI:-0}" != "1" ]]; then
     # Never publish tables from a tree that fails the workspace gate.
     scripts/ci.sh
 fi
-exps=(exp_fig1 exp_logtime exp_speedup_h exp_noise_sweep exp_bias_sweep
-      exp_self_stab exp_lb_tightness exp_weak_opinion exp_boosting
-      exp_reduction exp_baselines exp_conflict exp_push_pull
-      exp_ablation_c1 exp_memory exp_sf_variant exp_trajectory exp_replacement
-      exp_scale exp_topology)
-for exp in "${exps[@]}"; do
+# Every experiment binary, in byte order: the list is read from
+# crates/bench/src/bin/ so it cannot drift from the binaries that exist.
+LC_COLLATE=C
+for src in crates/bench/src/bin/exp_*.rs; do
+    exp="$(basename "$src" .rs)"
     echo "### $exp"
     cargo run --release -q -p np-bench --bin "$exp"
     echo

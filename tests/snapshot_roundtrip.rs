@@ -144,3 +144,53 @@ fn retired_columns_tags_are_refused_with_bad_snapshot() {
     let world = World::new(&HMajority, config, &noise2, kind, 4).unwrap();
     assert_refused(&HMajority, &world, "majority-columns/v1");
 }
+
+/// A snapshot whose header declares far more agents than its bytes can
+/// hold must be refused with `BadSnapshot` before anything sized by `n`
+/// is allocated. The repro: a ring world's header set to n = 2³⁴ and the
+/// bytes cut right after the topology spec. Restoring it used to abort
+/// the process inside `Topology::build`, which tried to allocate
+/// 2³⁴ neighbor lists.
+#[test]
+fn oversized_population_header_is_refused_before_allocating() {
+    use np_engine::snapshot::SnapReader;
+    use np_engine::EngineError;
+
+    let config = PopulationConfig::new(16, 0, 1, 16).unwrap();
+    let params = SfParams::derive(&config, 0.1, 1.0).unwrap();
+    let noise = NoiseMatrix::uniform(2, 0.1).unwrap();
+    let protocol = SourceFilter::new(params);
+    let mut world = World::new(&protocol, config, &noise, ChannelKind::Aggregated, 3).unwrap();
+    world.set_topology(TopologySpec::Ring { k: 1 }).unwrap();
+    world.run(2);
+    let bytes = world.snapshot();
+
+    // Walk the header: magic, state tag, then n, s0, s1, h, seed, round,
+    // the correct-opinion, channel-kind and sampling-mode bytes, and the
+    // ring's topology tag and k.
+    let mut r = SnapReader::new(&bytes);
+    r.take_str().unwrap();
+    r.take_str().unwrap();
+    let n_at = bytes.len() - r.remaining();
+    for _ in 0..6 {
+        r.take_u64().unwrap();
+    }
+    for _ in 0..3 {
+        r.take_u8().unwrap();
+    }
+    assert_eq!(r.take_u8().unwrap(), 1, "ring topology tag");
+    assert_eq!(r.take_usize().unwrap(), 1, "ring k");
+    let topology_end = bytes.len() - r.remaining();
+
+    let mut inflated = bytes.clone();
+    inflated[n_at..n_at + 8].copy_from_slice(&(1u64 << 34).to_le_bytes());
+    for cut in [&inflated[..topology_end], &inflated[..]] {
+        match World::restore(&protocol, cut) {
+            Err(EngineError::BadSnapshot { detail }) => {
+                assert!(detail.contains("17179869184 agents"), "{detail}")
+            }
+            Err(other) => panic!("expected BadSnapshot, got {other}"),
+            Ok(_) => panic!("a snapshot declaring 2^34 agents restored"),
+        }
+    }
+}
