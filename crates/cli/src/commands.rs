@@ -229,25 +229,6 @@ impl CommonFlags {
     }
 }
 
-/// FNV-1a over the round count and the final opinion vector: a cheap
-/// fingerprint of the trajectory endpoint. CI runs the same experiment
-/// under different `NOISY_PULL_THREADS` values and diffs this line —
-/// per-agent RNG streams guarantee the digest is thread-count-invariant.
-fn outcome_digest<P: np_engine::protocol::ColumnarProtocol>(world: &World<P>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for byte in world.round().to_le_bytes() {
-        eat(byte);
-    }
-    for opinion in world.opinions() {
-        eat(opinion.as_index() as u8);
-    }
-    hash
-}
-
 /// Parses the repeatable `--fault round:kind[:args]` specs into a
 /// [`FaultPlan`].
 ///
@@ -392,7 +373,7 @@ fn report_run<P: ColumnarProtocol>(
         );
     }
     if common.digest {
-        println!("{label} digest: {:#018x}", outcome_digest(world));
+        println!("{label} digest: {:#018x}", world.outcome_digest());
     }
     if common.observing() || world.has_fault_plan() {
         let trace = world
@@ -606,7 +587,7 @@ pub fn run_ssf(args: &Args) -> CliResult {
             );
         }
         let mut world = CountsWorld::new(&protocol, config, &noise, common.seed).map_err(err)?;
-        let budget = intervals * params.update_interval();
+        let budget = interval_budget(intervals, &params)?;
         return report_counts_run(&mut world, budget, "SSF", &common);
     }
     let mut world = match &common.restore {
@@ -655,9 +636,21 @@ pub fn run_ssf(args: &Args) -> CliResult {
             world.set_fault_plan(plan).map_err(err)?;
         }
     }
-    let budget = intervals * params.update_interval();
+    let budget = interval_budget(intervals, &params)?;
     let hook = checkpoint_hook(&common, budget);
     report_run(&mut world, budget, "SSF", &common, hook)
+}
+
+/// The round budget of `--budget-intervals I`: `I` SSF update intervals,
+/// refused when the product does not fit a round counter.
+fn interval_budget(intervals: u64, params: &SsfParams) -> Result<u64, String> {
+    let interval = params.update_interval();
+    intervals.checked_mul(interval).ok_or_else(|| {
+        format!(
+            "flag --budget-intervals: {intervals} intervals of {interval} rounds overflow \
+             the u64 round budget"
+        )
+    })
 }
 
 /// `run baseline <name>` — run one of the comparison protocols.
@@ -882,14 +875,13 @@ pub fn sweep_run(args: &Args) -> CliResult {
 /// Flags of the `cluster` subcommand, parsed independently of
 /// [`CommonFlags`]: the node runtime has its own timing vocabulary and
 /// deliberately rejects the round-engine flags that have no meaning for
-/// an event-driven transport.
+/// the event-driven node runtime.
 struct ClusterFlags {
     cfg: np_net::cluster::ClusterConfig,
     plan: np_net::faults::NetFaultPlan,
     /// Local round at which the last fault has been applied (drive the
     /// cluster past this point before measuring re-convergence).
     heal_round: Option<u64>,
-    transport: String,
     c1: f64,
     intervals: u64,
     summary_out: Option<PathBuf>,
@@ -914,17 +906,11 @@ impl ClusterFlags {
         let jitter_us = args.get_or("jitter-us", 100u64).map_err(err)?;
         let stagger_us = args.get_or("stagger-us", tick_us).map_err(err)?;
         let drop = args.get_or("drop", 0.0f64).map_err(err)?;
-        let transport = args.str_or("transport", "sim");
         let summary_out = args.get_opt::<PathBuf>("metrics-out").map_err(err)?;
         let partition_at = args.get_opt::<u64>("partition-at").map_err(err)?;
         let heal_at = args.get_opt::<u64>("heal-at").map_err(err)?;
         let split = args.get_opt::<usize>("partition-split").map_err(err)?;
         args.finish().map_err(err)?;
-        if transport != "sim" && transport != "tcp" {
-            return Err(format!(
-                "cluster: unknown transport `{transport}` (sim | tcp)"
-            ));
-        }
         let mut cfg = np_net::cluster::ClusterConfig::new(n, s0, s1, h, delta, seed);
         cfg.tick_ns = tick_us.saturating_mul(1_000);
         cfg.min_latency_ns = latency_us.saturating_mul(1_000);
@@ -967,7 +953,6 @@ impl ClusterFlags {
             cfg,
             plan,
             heal_round,
-            transport,
             c1,
             intervals,
             summary_out,
@@ -1013,36 +998,32 @@ impl ClusterFlags {
     }
 }
 
-/// Shared driver for `cluster` over either protocol: builds the cluster
-/// on the selected transport, runs it to convergence (driving past the
-/// fault plan first, so a partition is actually exercised), prints the
-/// report, and optionally writes an `np-run-summary/v1` artifact.
-fn run_cluster<P>(protocol: &P, label: &str, flags: &ClusterFlags, budget: u64) -> CliResult
-where
-    P: Protocol,
-    P::Agent: 'static,
-{
-    let report = if flags.transport == "tcp" {
-        np_net::tcp::run_tcp_cluster(&flags.cfg, protocol, &flags.plan, budget).map_err(err)?
-    } else {
-        let mut cluster =
-            np_net::sim::SimCluster::new(&flags.cfg, protocol, &flags.plan).map_err(err)?;
-        if let Some(heal) = flags.heal_round {
-            cluster.run_until_round(heal).map_err(err)?;
-        }
-        let reconverged = cluster.run_until_correct(budget).map_err(err)?;
-        if let (Some(heal), Some(at)) = (flags.heal_round, reconverged) {
-            println!(
-                "cluster heal: re-converged at round {at} ({} rounds after the last fault)",
-                at.saturating_sub(heal)
-            );
-        }
-        cluster.report()
-    };
-    let kind = &flags.transport;
+/// Shared driver for `cluster` over either protocol: builds the
+/// simulated-time cluster, runs it to convergence (driving past the fault
+/// plan first, so a partition is actually exercised), prints the report,
+/// and optionally writes an `np-run-summary/v1` artifact.
+fn run_cluster<P: Protocol>(
+    protocol: &P,
+    label: &str,
+    flags: &ClusterFlags,
+    budget: u64,
+) -> CliResult {
+    let mut cluster =
+        np_net::sim::SimCluster::new(&flags.cfg, protocol, &flags.plan).map_err(err)?;
+    if let Some(heal) = flags.heal_round {
+        cluster.run_until_round(heal).map_err(err)?;
+    }
+    let reconverged = cluster.run_until_correct(budget).map_err(err)?;
+    if let (Some(heal), Some(at)) = (flags.heal_round, reconverged) {
+        println!(
+            "cluster heal: re-converged at round {at} ({} rounds after the last fault)",
+            at.saturating_sub(heal)
+        );
+    }
+    let report = cluster.report();
     if report.converged {
         println!(
-            "{label} cluster[{kind}]: converged at round {} / {budget} \
+            "{label} cluster[sim]: converged at round {} / {budget} \
              ({:.2} ms, {} messages, {} dropped, {} stale, {} skipped)",
             report.convergence_round.unwrap_or(report.rounds),
             report.elapsed_ms,
@@ -1053,7 +1034,7 @@ where
         );
     } else {
         println!(
-            "{label} cluster[{kind}]: NO convergence within {budget} rounds \
+            "{label} cluster[sim]: NO convergence within {budget} rounds \
              ({}/{} correct, {} messages)",
             report.final_correct, report.n, report.messages_total,
         );
@@ -1061,7 +1042,7 @@ where
     println!("cluster digest: {:#018x}", report.digest);
     if let Some(path) = &flags.summary_out {
         let summary = RunSummary {
-            protocol: format!("{}-cluster-{kind}", label.to_lowercase()),
+            protocol: format!("{}-cluster-sim", label.to_lowercase()),
             n: report.n,
             h: report.h,
             s0: flags.cfg.s0,
@@ -1082,7 +1063,7 @@ where
 }
 
 /// `cluster` — run the protocol on the event-driven node runtime
-/// (`np_net`) over the simulated-time or TCP transport.
+/// (`np_net`) over its simulated-time transport.
 pub fn cluster_cmd(args: &Args) -> CliResult {
     let protocol_name = args.str_or("protocol", "ssf");
     if protocol_name != "sf" && protocol_name != "ssf" {
@@ -1097,8 +1078,7 @@ pub fn cluster_cmd(args: &Args) -> CliResult {
     if protocol_name == "sf" {
         let params = SfParams::derive(&config, flags.cfg.delta, flags.c1).map_err(err)?;
         println!(
-            "SF cluster[{}]: n={} h={} δ={} c1={} → m={} schedule={} rounds",
-            flags.transport,
+            "SF cluster[sim]: n={} h={} δ={} c1={} → m={} schedule={} rounds",
             flags.cfg.n,
             flags.cfg.h,
             flags.cfg.delta,
@@ -1111,8 +1091,7 @@ pub fn cluster_cmd(args: &Args) -> CliResult {
     } else {
         let params = SsfParams::derive(&config, flags.cfg.delta, flags.c1).map_err(err)?;
         println!(
-            "SSF cluster[{}]: n={} h={} δ={} c1={} → m={} interval={} rounds",
-            flags.transport,
+            "SSF cluster[sim]: n={} h={} δ={} c1={} → m={} interval={} rounds",
             flags.cfg.n,
             flags.cfg.h,
             flags.cfg.delta,
@@ -1120,7 +1099,7 @@ pub fn cluster_cmd(args: &Args) -> CliResult {
             params.m(),
             params.update_interval()
         );
-        let budget = flags.intervals * params.update_interval();
+        let budget = interval_budget(flags.intervals, &params)?;
         run_cluster(
             &SelfStabilizingSourceFilter::new(params),
             "SSF",

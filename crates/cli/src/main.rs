@@ -24,7 +24,7 @@ COMMANDS:
     sweep run SPEC  run a checkpointed parameter sweep from a spec file
     cluster         run SF/SSF on the event-driven node runtime (np_net):
                     no global round barrier; nodes exchange PullRequest/
-                    PullReply messages over a transport
+                    PullReply messages in simulated time
     theory          evaluate the Theorem 3/4/5 closed-form bounds
     reduce          derive the Theorem 8 artificial-noise matrix
     help            show this message
@@ -86,13 +86,11 @@ SWEEPS:
         writes (the CI kill switch).
 
 CLUSTER:
-    cluster [--protocol sf|ssf] [--transport sim|tcp] [--n N] [--h H]
+    cluster [--protocol sf|ssf] [--n N] [--h H]
             [--s0 K] [--s1 K] [--delta D] [--seed S] [--c1 C]
             [--budget-intervals I] [--metrics-out PATH]
-        sim (default): deterministic simulated-time scheduler — virtual
-        clock, byte-identical `cluster digest` per seed. tcp: real
-        length-prefixed sockets on 127.0.0.1, one thread per node,
-        wall-clock timing (digest not reproducible by design).
+        Deterministic simulated-time scheduler: virtual clock,
+        byte-identical `cluster digest` per seed.
         Timing: --tick-us T (round length, default 1000), --latency-us L
         (default 50), --jitter-us J (default 100), --stagger-us B (boot
         spread, default tick), --drop R (per-message drop rate).

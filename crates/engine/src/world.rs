@@ -283,6 +283,25 @@ impl<P: ColumnarProtocol> World<P> {
             .collect()
     }
 
+    /// FNV-1a over the round count (little-endian) and the opinion
+    /// vector: a cheap fingerprint of the trajectory endpoint. Per-agent
+    /// streams make it thread-count-invariant, so one pinned value per
+    /// seed covers every thread count.
+    pub fn outcome_digest(&self) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |byte: u8| {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        for byte in self.round.to_le_bytes() {
+            eat(byte);
+        }
+        for id in 0..self.state.len() {
+            eat(self.state.opinion(id).as_byte());
+        }
+        hash
+    }
+
     /// Enables per-round recording of opinion counts (see
     /// [`World::series`]).
     pub fn record_series(&mut self) {

@@ -1,4 +1,4 @@
-//! Cluster-level configuration and reporting, shared by both transports.
+//! Cluster-level configuration and reporting.
 
 use np_engine::population::PopulationConfig;
 
@@ -6,8 +6,7 @@ use crate::{NetError, Result};
 
 /// Everything a cluster run needs besides the protocol itself: the
 /// population shape, the noise level, the seed, and the timing of the
-/// transport. Timing fields are in nanoseconds — virtual for the
-/// simulated transport, real for TCP.
+/// transport. Timing fields are in virtual nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of nodes.
@@ -20,8 +19,7 @@ pub struct ClusterConfig {
     pub h: usize,
     /// Uniform channel noise level δ.
     pub delta: f64,
-    /// Master seed; in simulated time the whole run is a pure function
-    /// of it.
+    /// Master seed; the whole run is a pure function of it.
     pub seed: u64,
     /// Local round length: the timer interval between a node's ticks.
     pub tick_ns: u64,
@@ -91,8 +89,7 @@ impl ClusterConfig {
     }
 }
 
-/// The outcome of a cluster run, transport-independent. `elapsed_ms` is
-/// virtual time for the simulated transport and wall-clock time for TCP.
+/// The outcome of a cluster run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterReport {
     /// Number of nodes.
@@ -107,7 +104,7 @@ pub struct ClusterReport {
     pub converged: bool,
     /// The local round at which the population first became all-correct.
     pub convergence_round: Option<u64>,
-    /// Elapsed time in milliseconds (virtual or wall-clock).
+    /// Elapsed virtual time in milliseconds.
     pub elapsed_ms: f64,
     /// Peer-to-peer messages put on the wire (requests + replies;
     /// driver-bound bookkeeping excluded).
@@ -129,8 +126,8 @@ pub struct ClusterReport {
     pub digest: u64,
 }
 
-/// FNV-1a folding used for run digests — same constants as the CLI's
-/// outcome digest, so two equal digests mean equal byte streams.
+/// FNV-1a folding used for run digests — same constants as
+/// `World::outcome_digest`, so two equal digests mean equal byte streams.
 #[derive(Debug, Clone, Copy)]
 pub struct Digest(u64);
 

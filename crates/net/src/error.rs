@@ -16,25 +16,11 @@ pub enum NetError {
         /// Description of the violation.
         detail: String,
     },
-    /// A wire frame could not be decoded: truncated body, unknown message
-    /// tag, or an out-of-range field.
-    BadFrame {
-        /// Description of the violation.
-        detail: String,
-    },
     /// An error bubbled up from the engine layer (population or noise
     /// matrix construction).
     Engine(np_engine::EngineError),
     /// An error bubbled up from noise-matrix construction.
     Linalg(np_linalg::LinalgError),
-    /// A socket operation of the TCP transport failed.
-    Io(std::io::Error),
-    /// A node or router thread of the TCP transport panicked or exited
-    /// without reporting a result.
-    Thread {
-        /// Which thread failed.
-        detail: String,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -42,11 +28,8 @@ impl fmt::Display for NetError {
         match self {
             NetError::BadConfig { detail } => write!(f, "bad cluster configuration: {detail}"),
             NetError::BadFaultPlan { detail } => write!(f, "bad net fault plan: {detail}"),
-            NetError::BadFrame { detail } => write!(f, "bad wire frame: {detail}"),
             NetError::Engine(e) => write!(f, "engine error: {e}"),
             NetError::Linalg(e) => write!(f, "noise-matrix error: {e}"),
-            NetError::Io(e) => write!(f, "transport i/o error: {e}"),
-            NetError::Thread { detail } => write!(f, "cluster thread failure: {detail}"),
         }
     }
 }
@@ -56,7 +39,6 @@ impl std::error::Error for NetError {
         match self {
             NetError::Engine(e) => Some(e),
             NetError::Linalg(e) => Some(e),
-            NetError::Io(e) => Some(e),
             _ => None,
         }
     }
@@ -71,11 +53,5 @@ impl From<np_engine::EngineError> for NetError {
 impl From<np_linalg::LinalgError> for NetError {
     fn from(e: np_linalg::LinalgError) -> Self {
         NetError::Linalg(e)
-    }
-}
-
-impl From<std::io::Error> for NetError {
-    fn from(e: std::io::Error) -> Self {
-        NetError::Io(e)
     }
 }

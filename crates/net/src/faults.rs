@@ -5,9 +5,7 @@
 //! [`NetFaultPlan`] degrades the *links*: extra delivery delay, message
 //! drop rates, and a full link partition with heal. Events are scheduled
 //! in virtual nanoseconds and applied by the simulated-time transport
-//! ([`crate::sim::SimCluster`]); the TCP router applies `Drop` and
-//! `Partition`/`Heal` (delay spans would need a real-time timer wheel and
-//! are rejected there).
+//! ([`crate::sim::SimCluster`]).
 //!
 //! The self-stabilization story (Theorem 5) is exercised by
 //! `Partition`/`Heal`: while partitioned, the side without sources drifts

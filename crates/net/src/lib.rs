@@ -31,18 +31,14 @@
 //!
 //! A node never performs I/O. [`node::Node`] consumes
 //! [`node::NodeEvent`]s and emits [`node::NodeAction`]s into a
-//! [`node::Transport`] — a per-node action sink. Two transports ship:
-//!
-//! * [`sim::SimCluster`] — deterministic simulated time. A single-threaded
-//!   event scheduler (binary heap keyed by `(virtual_ns, seq)`) delivers
-//!   messages with latency, jitter and drops drawn from the engine's
-//!   stream machinery ([`np_engine::streams::StreamStage::NetDelay`] and
-//!   friends), so an entire cluster run is a pure function of the seed and
-//!   byte-identical across re-runs.
-//! * [`tcp::run_tcp_cluster`] — a length-prefixed TCP transport: every
-//!   node is a real thread with a socket, timers are wall-clock deadlines,
-//!   and a hub router forwards frames. Real asynchrony; determinism is
-//!   deliberately given up (see DESIGN.md §16).
+//! [`node::Transport`] — a per-node action sink. The one transport is
+//! [`sim::SimCluster`]: deterministic simulated time. A single-threaded
+//! event scheduler (binary heap keyed by `(virtual_ns, seq)`) delivers
+//! messages with latency, jitter and drops drawn from the engine's stream
+//! machinery ([`np_engine::streams::StreamStage::NetDelay`] and friends),
+//! so an entire cluster run is a pure function of the seed and
+//! byte-identical across re-runs. The crate reads no wall clock and opens
+//! no socket.
 //!
 //! Transport-level faults ([`faults::NetFaultPlan`]) mirror the engine's
 //! `FaultPlan` vocabulary: extra delay spans, message drop rates, and link
@@ -52,13 +48,11 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod clock;
 pub mod cluster;
 pub mod faults;
 pub mod msg;
 pub mod node;
 pub mod sim;
-pub mod tcp;
 
 mod error;
 

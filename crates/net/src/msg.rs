@@ -1,30 +1,14 @@
-//! Wire messages and the length-prefixed frame codec.
+//! The messages nodes exchange.
 //!
-//! A frame is `u32` little-endian body length followed by the body; the
-//! body is a one-byte message tag followed by little-endian integer
-//! fields. The format is byte-exact and dependency-free so both
-//! transports (and the tests) share one codec:
-//!
-//! | tag | message       | body fields after the tag                     |
-//! |-----|---------------|-----------------------------------------------|
-//! | 0   | `Hello`       | `from:u64`                                    |
-//! | 1   | `PullRequest` | `from:u64 to:u64 round:u64`                   |
-//! | 2   | `PullReply`   | `from:u64 to:u64 round:u64 symbol:u8`         |
-//! | 3   | `Status`      | `from:u64 round:u64 opinion:u8 weak:u8`       |
-//! | 4   | `Shutdown`    | —                                             |
-//!
-//! `PullReply::symbol` is the *displayed* symbol of the replier; channel
-//! noise is applied by the receiving node, never on the wire — the wire
-//! is lossless, the model's noise lives in [`crate::node`].
-
-use crate::{NetError, Result};
+//! The simulated-time transport moves [`Envelope`] values between nodes;
+//! nothing is serialized. `PullReply::symbol` is the *displayed* symbol
+//! of the replier: channel noise is applied by the receiving node, never
+//! in transit, so the model's noise lives in [`crate::node`].
 
 /// A protocol-level message exchanged between nodes (or between a node
 /// and the cluster driver).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetMsg {
-    /// A node announcing itself to the router (TCP transport only).
-    Hello,
     /// "Send me what you display": one of the `h` pull samples of the
     /// sender's local round `round`.
     PullRequest {
@@ -50,8 +34,6 @@ pub enum NetMsg {
         /// The node's weak opinion: 0, 1, or [`WEAK_NONE`] if unformed.
         weak: u8,
     },
-    /// Driver-initiated shutdown; a node exits its event loop on receipt.
-    Shutdown,
 }
 
 /// The `weak` byte of [`NetMsg::Status`] when no weak opinion exists yet.
@@ -62,314 +44,8 @@ pub const WEAK_NONE: u8 = 0xff;
 pub struct Envelope {
     /// Sending node id.
     pub from: u64,
-    /// Destination node id (ignored for `Hello`/`Status`, which always go
-    /// to the driver).
+    /// Destination node id, or [`crate::node::DRIVER`] for `Status`.
     pub to: u64,
     /// The message payload.
     pub msg: NetMsg,
-}
-
-const TAG_HELLO: u8 = 0;
-const TAG_PULL_REQUEST: u8 = 1;
-const TAG_PULL_REPLY: u8 = 2;
-const TAG_STATUS: u8 = 3;
-const TAG_SHUTDOWN: u8 = 4;
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn take_u64(body: &[u8], at: &mut usize) -> Result<u64> {
-    let end = *at + 8;
-    let bytes = body.get(*at..end).ok_or_else(|| NetError::BadFrame {
-        detail: format!("truncated u64 at offset {at}"),
-    })?;
-    *at = end;
-    let mut le = [0u8; 8];
-    le.copy_from_slice(bytes);
-    Ok(u64::from_le_bytes(le))
-}
-
-fn take_u8(body: &[u8], at: &mut usize) -> Result<u8> {
-    let b = *body.get(*at).ok_or_else(|| NetError::BadFrame {
-        detail: format!("truncated u8 at offset {at}"),
-    })?;
-    *at += 1;
-    Ok(b)
-}
-
-impl Envelope {
-    /// Appends this envelope to `buf` as one length-prefixed frame.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        let len_at = buf.len();
-        buf.extend_from_slice(&[0; 4]);
-        match self.msg {
-            NetMsg::Hello => {
-                buf.push(TAG_HELLO);
-                put_u64(buf, self.from);
-            }
-            NetMsg::PullRequest { round } => {
-                buf.push(TAG_PULL_REQUEST);
-                put_u64(buf, self.from);
-                put_u64(buf, self.to);
-                put_u64(buf, round);
-            }
-            NetMsg::PullReply { round, symbol } => {
-                buf.push(TAG_PULL_REPLY);
-                put_u64(buf, self.from);
-                put_u64(buf, self.to);
-                put_u64(buf, round);
-                buf.push(symbol);
-            }
-            NetMsg::Status {
-                round,
-                opinion,
-                weak,
-            } => {
-                buf.push(TAG_STATUS);
-                put_u64(buf, self.from);
-                put_u64(buf, round);
-                buf.push(opinion);
-                buf.push(weak);
-            }
-            NetMsg::Shutdown => {
-                buf.push(TAG_SHUTDOWN);
-            }
-        }
-        let body_len = buf.len() - len_at - 4;
-        let body_len = u32::try_from(body_len).unwrap_or(u32::MAX);
-        buf[len_at..len_at + 4].copy_from_slice(&body_len.to_le_bytes());
-    }
-
-    /// Decodes one frame *body* (the bytes after the length prefix).
-    pub fn decode_body(body: &[u8]) -> Result<Envelope> {
-        let mut at = 0;
-        let tag = take_u8(body, &mut at)?;
-        let env = match tag {
-            TAG_HELLO => Envelope {
-                from: take_u64(body, &mut at)?,
-                to: 0,
-                msg: NetMsg::Hello,
-            },
-            TAG_PULL_REQUEST => {
-                let from = take_u64(body, &mut at)?;
-                let to = take_u64(body, &mut at)?;
-                let round = take_u64(body, &mut at)?;
-                Envelope {
-                    from,
-                    to,
-                    msg: NetMsg::PullRequest { round },
-                }
-            }
-            TAG_PULL_REPLY => {
-                let from = take_u64(body, &mut at)?;
-                let to = take_u64(body, &mut at)?;
-                let round = take_u64(body, &mut at)?;
-                let symbol = take_u8(body, &mut at)?;
-                Envelope {
-                    from,
-                    to,
-                    msg: NetMsg::PullReply { round, symbol },
-                }
-            }
-            TAG_STATUS => {
-                let from = take_u64(body, &mut at)?;
-                let round = take_u64(body, &mut at)?;
-                let opinion = take_u8(body, &mut at)?;
-                let weak = take_u8(body, &mut at)?;
-                Envelope {
-                    from,
-                    to: 0,
-                    msg: NetMsg::Status {
-                        round,
-                        opinion,
-                        weak,
-                    },
-                }
-            }
-            TAG_SHUTDOWN => Envelope {
-                from: 0,
-                to: 0,
-                msg: NetMsg::Shutdown,
-            },
-            other => {
-                return Err(NetError::BadFrame {
-                    detail: format!("unknown message tag {other}"),
-                })
-            }
-        };
-        if at != body.len() {
-            return Err(NetError::BadFrame {
-                detail: format!("{} trailing bytes after tag {tag}", body.len() - at),
-            });
-        }
-        Ok(env)
-    }
-}
-
-/// Incremental frame extractor for a TCP byte stream: feed it arbitrary
-/// chunks, pull out complete envelopes as they become available. Partial
-/// frames are buffered across reads.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-    at: usize,
-}
-
-/// Frames larger than this are rejected as corrupt — the largest real
-/// message body is a `PullReply` at 26 bytes, so any length prefix beyond
-/// this indicates a desynchronized or hostile stream.
-pub const MAX_FRAME_BODY: usize = 256;
-
-impl FrameReader {
-    /// A reader with an empty buffer.
-    pub fn new() -> Self {
-        FrameReader::default()
-    }
-
-    /// Appends raw bytes received from the stream.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact before growing: drop the bytes of already-consumed
-        // frames so the buffer stays bounded by one partial frame.
-        if self.at > 0 {
-            self.buf.drain(..self.at);
-            self.at = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Extracts the next complete envelope, or `None` if more bytes are
-    /// needed. Errors are sticky in the sense that a bad frame leaves the
-    /// stream position undefined; callers drop the connection.
-    pub fn next_envelope(&mut self) -> Result<Option<Envelope>> {
-        let avail = self.buf.len() - self.at;
-        if avail < 4 {
-            return Ok(None);
-        }
-        let mut le = [0u8; 4];
-        le.copy_from_slice(&self.buf[self.at..self.at + 4]);
-        let body_len = u32::from_le_bytes(le) as usize;
-        if body_len > MAX_FRAME_BODY {
-            return Err(NetError::BadFrame {
-                detail: format!("frame body of {body_len} bytes exceeds {MAX_FRAME_BODY}"),
-            });
-        }
-        if avail < 4 + body_len {
-            return Ok(None);
-        }
-        let body_start = self.at + 4;
-        let env = Envelope::decode_body(&self.buf[body_start..body_start + body_len])?;
-        self.at = body_start + body_len;
-        Ok(Some(env))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn roundtrip(env: Envelope) {
-        let mut buf = Vec::new();
-        env.encode(&mut buf);
-        let mut reader = FrameReader::new();
-        reader.push(&buf);
-        let got = reader
-            .next_envelope()
-            .expect("decode")
-            .expect("complete frame");
-        assert_eq!(got, env);
-        assert!(reader.next_envelope().expect("decode").is_none());
-    }
-
-    #[test]
-    fn all_messages_roundtrip() {
-        roundtrip(Envelope {
-            from: 7,
-            to: 0,
-            msg: NetMsg::Hello,
-        });
-        roundtrip(Envelope {
-            from: 3,
-            to: 11,
-            msg: NetMsg::PullRequest { round: 42 },
-        });
-        roundtrip(Envelope {
-            from: 11,
-            to: 3,
-            msg: NetMsg::PullReply {
-                round: 42,
-                symbol: 2,
-            },
-        });
-        roundtrip(Envelope {
-            from: 5,
-            to: 0,
-            msg: NetMsg::Status {
-                round: 9,
-                opinion: 1,
-                weak: WEAK_NONE,
-            },
-        });
-        roundtrip(Envelope {
-            from: 0,
-            to: 0,
-            msg: NetMsg::Shutdown,
-        });
-    }
-
-    #[test]
-    fn partial_frames_buffer_across_reads() {
-        let env = Envelope {
-            from: 1,
-            to: 2,
-            msg: NetMsg::PullReply {
-                round: 100,
-                symbol: 3,
-            },
-        };
-        let mut buf = Vec::new();
-        env.encode(&mut buf);
-        env.encode(&mut buf); // two frames back to back
-
-        let mut reader = FrameReader::new();
-        for chunk in buf.chunks(3) {
-            reader.push(chunk);
-        }
-        assert_eq!(reader.next_envelope().expect("decode"), Some(env));
-        assert_eq!(reader.next_envelope().expect("decode"), Some(env));
-        assert_eq!(reader.next_envelope().expect("decode"), None);
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected() {
-        let mut reader = FrameReader::new();
-        reader.push(&u32::MAX.to_le_bytes());
-        assert!(reader.next_envelope().is_err());
-    }
-
-    #[test]
-    fn unknown_tag_is_rejected() {
-        assert!(Envelope::decode_body(&[200]).is_err());
-    }
-
-    #[test]
-    fn truncated_body_is_rejected() {
-        assert!(Envelope::decode_body(&[TAG_PULL_REQUEST, 1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut buf = Vec::new();
-        Envelope {
-            from: 0,
-            to: 0,
-            msg: NetMsg::Shutdown,
-        }
-        .encode(&mut buf);
-        // Graft a junk byte into the body and fix the length prefix.
-        buf.push(9);
-        let body_len = (buf.len() - 4) as u32;
-        buf[0..4].copy_from_slice(&body_len.to_le_bytes());
-        assert!(Envelope::decode_body(&buf[4..]).is_err());
-    }
 }

@@ -24,7 +24,7 @@
 //! All randomness is drawn from `(seed, local_round, node, stage)`
 //! streams ([`np_engine::streams::RoundStreams`]), so a node's behavior
 //! is a pure function of its coordinate and the sequence of events it is
-//! fed — the transports own *when* events happen, the node owns *what*
+//! fed — the transport owns *when* events happen, the node owns *what*
 //! they mean. The node performs no I/O: every outward effect is a
 //! [`NodeAction`] applied to a [`Transport`].
 
@@ -55,22 +55,21 @@ pub enum NodeEvent {
 pub enum NodeAction {
     /// Put this envelope on the wire.
     Send(Envelope),
-    /// Arm the round timer to fire once, this many nanoseconds from now
-    /// (virtual or real, per transport). Replaces any armed timer.
+    /// Arm the round timer to fire once, this many (virtual) nanoseconds
+    /// from now. Replaces any armed timer.
     SetTick(u64),
 }
 
-/// The per-node action sink implemented by each transport: the simulated
-/// scheduler pushes into its event heap, the TCP port writes frames and
-/// moves its socket deadline. This is the entire surface between protocol
-/// execution and I/O.
+/// The per-node action sink: the simulated scheduler pushes into its
+/// event heap, the node unit tests record into a vector. This is the
+/// entire surface between protocol execution and the transport.
 pub trait Transport {
     /// Carries out one action on behalf of the node.
     fn apply(&mut self, action: NodeAction);
 }
 
 /// Counters a node accumulates about its own message handling; read by
-/// the cluster drivers for reports.
+/// the cluster driver for reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Local rounds closed with zero arrived replies (skipped updates).
@@ -98,7 +97,6 @@ pub struct Node<A: AgentState> {
     obs: Vec<u64>,
     replies_seen: u64,
     obs_rng: StreamRng,
-    done: bool,
     stats: NodeStats,
 }
 
@@ -134,7 +132,6 @@ impl<A: AgentState> Node<A> {
             obs: vec![0; d],
             replies_seen: 0,
             obs_rng,
-            done: false,
             stats: NodeStats::default(),
         }
     }
@@ -149,9 +146,6 @@ impl<A: AgentState> Node<A> {
     }
 
     fn on_tick(&mut self, t: &mut impl Transport) {
-        if self.done {
-            return;
-        }
         if self.local_round > 0 {
             self.close_round(t);
         }
@@ -206,16 +200,14 @@ impl<A: AgentState> Node<A> {
     fn on_deliver(&mut self, env: Envelope, t: &mut impl Transport) {
         match env.msg {
             NetMsg::PullRequest { round } => {
-                if !self.done {
-                    t.apply(NodeAction::Send(Envelope {
-                        from: self.id,
-                        to: env.from,
-                        msg: NetMsg::PullReply {
-                            round,
-                            symbol: self.displayed,
-                        },
-                    }));
-                }
+                t.apply(NodeAction::Send(Envelope {
+                    from: self.id,
+                    to: env.from,
+                    msg: NetMsg::PullReply {
+                        round,
+                        symbol: self.displayed,
+                    },
+                }));
             }
             NetMsg::PullReply { round, symbol } => {
                 if round != self.local_round || self.local_round == 0 {
@@ -234,8 +226,7 @@ impl<A: AgentState> Node<A> {
                 self.replies_seen += 1;
                 self.stats.replies_counted += 1;
             }
-            NetMsg::Shutdown => self.done = true,
-            NetMsg::Hello | NetMsg::Status { .. } => {}
+            NetMsg::Status { .. } => {}
         }
     }
 
@@ -243,24 +234,9 @@ impl<A: AgentState> Node<A> {
         usize::try_from(self.id).unwrap_or(usize::MAX)
     }
 
-    /// The node's id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The node's current local round (0 before the first tick).
     pub fn local_round(&self) -> u64 {
         self.local_round
-    }
-
-    /// Whether a [`NetMsg::Shutdown`] has been received.
-    pub fn done(&self) -> bool {
-        self.done
-    }
-
-    /// The wrapped agent (for state inspection by drivers and tests).
-    pub fn agent(&self) -> &A {
-        &self.agent
     }
 
     /// The node's message-handling counters.
@@ -377,22 +353,5 @@ mod tests {
             .any(|a| matches!(a, NodeAction::Send(e) if e.to == DRIVER));
         assert!(status, "expected a driver-bound Status");
         assert_eq!(node.local_round(), 2);
-    }
-
-    #[test]
-    fn shutdown_stops_the_node() {
-        let mut node = test_node(4);
-        let mut sink = Sink(Vec::new());
-        node.handle(
-            NodeEvent::Deliver(Envelope {
-                from: DRIVER,
-                to: 4,
-                msg: NetMsg::Shutdown,
-            }),
-            &mut sink,
-        );
-        node.handle(NodeEvent::Tick, &mut sink);
-        assert!(node.done());
-        assert!(sink.0.is_empty(), "a done node is silent");
     }
 }

@@ -8,9 +8,9 @@
 //! machinery addressed by `(seed, sender_round, sender, stage)` with the
 //! net stages ([`StreamStage::NetDelay`], [`StreamStage::NetDrop`]), so
 //! repeated runs are **byte-identical**: equal digests, equal reports.
-//! This is the transport CI gates on and the one cross-validated
-//! distributionally against the round engine in
-//! `tests/cluster_equivalence.rs`.
+//! Its digests are pinned in `tests/golden_trajectories.rs`, and its
+//! convergence rates are cross-validated distributionally against the
+//! round engine in `tests/cluster_equivalence.rs`.
 //!
 //! Asynchrony is real despite the determinism: nodes' first ticks are
 //! staggered across a round, so local rounds interleave arbitrarily and
@@ -376,7 +376,7 @@ impl<A: AgentState> SimCluster<A> {
         d.value()
     }
 
-    /// Assembles the transport-independent run report.
+    /// Assembles the run report.
     pub fn report(&self) -> ClusterReport {
         let (stale_total, skipped_total) = self.nodes.iter().fold((0, 0), |(st, sk), nd| {
             let s = nd.stats();

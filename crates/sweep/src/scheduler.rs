@@ -244,6 +244,18 @@ fn base_record(job: &JobSpec, budget: u64) -> JobRecord {
     }
 }
 
+/// An SSF job's round budget: `budget-intervals` update intervals,
+/// refused when the product does not fit a round counter.
+fn ssf_budget(job: &JobSpec, params: &SsfParams) -> Result<u64, SweepError> {
+    let interval = params.update_interval();
+    job.budget_intervals.checked_mul(interval).ok_or_else(|| {
+        SweepError(format!(
+            "budget-intervals {} of {interval} rounds overflow the u64 round budget",
+            job.budget_intervals
+        ))
+    })
+}
+
 /// Runs one job to completion (or until the sweep-wide stop flag trips),
 /// dispatching on the protocol.
 fn run_job(job: &JobSpec, prior: Option<&JobRecord>, ctx: &SweepCtx<'_>) -> Result<(), SweepError> {
@@ -257,7 +269,7 @@ fn run_job(job: &JobSpec, prior: Option<&JobRecord>, ctx: &SweepCtx<'_>) -> Resu
             }
             ProtocolKind::Ssf => {
                 let params = SsfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-                let budget = job.budget_intervals * params.update_interval();
+                let budget = ssf_budget(job, &params)?;
                 drive_counts(
                     &SelfStabilizingSourceFilter::new(params),
                     config,
@@ -294,7 +306,7 @@ fn run_job(job: &JobSpec, prior: Option<&JobRecord>, ctx: &SweepCtx<'_>) -> Resu
         }
         ProtocolKind::Ssf => {
             let params = SsfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-            let budget = job.budget_intervals * params.update_interval();
+            let budget = ssf_budget(job, &params)?;
             drive(
                 &SelfStabilizingSourceFilter::new(params),
                 config,
@@ -670,6 +682,22 @@ mod tests {
         let e = run_sweep(&s, &opts).unwrap_err().to_string();
         assert!(e.contains("does not support topology ring:2"), "{e}");
         std::fs::remove_dir_all(&out).ok();
+    }
+
+    #[test]
+    fn overflowing_ssf_budget_is_refused() {
+        for backend in [BackendKind::PerAgent, BackendKind::MeanField] {
+            let out = temp_out("budget_overflow");
+            let mut s = spec(1);
+            s.protocols = vec![ProtocolKind::Ssf];
+            s.budget_intervals = u64::MAX;
+            s.backend = backend;
+            let e = run_sweep(&s, &SweepOptions::new(out.clone()))
+                .unwrap_err()
+                .to_string();
+            assert!(e.contains("budget-intervals"), "{e}");
+            std::fs::remove_dir_all(&out).ok();
+        }
     }
 
     #[test]

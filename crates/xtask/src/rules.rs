@@ -333,11 +333,11 @@ pub const SCOPES: &[ScopeDef] = &[
     },
     ScopeDef {
         name: "protocol-clock",
-        doc: "protocol code must not name Instant; metrics.rs (StageClock) and np_net's clock.rs \
-              (the TCP transport's deadline/stopwatch site) are the sanctioned observers",
+        doc: "protocol code must not name Instant; metrics.rs (StageClock) is the sanctioned \
+              observer",
         crates: &["crates/engine", "crates/core", "crates/net"],
         files: &[],
-        exclude_files: &["streams.rs", "metrics.rs", "clock.rs"],
+        exclude_files: &["streams.rs", "metrics.rs"],
         fns: &[],
         rules: PROTOCOL_CLOCK_RULES,
     },
@@ -457,11 +457,11 @@ mod tests {
     }
 
     #[test]
-    fn net_crate_is_fully_in_scope_with_a_sanctioned_clock() {
+    fn net_crate_is_fully_in_scope_without_a_sanctioned_clock() {
         // np_net is held to the same determinism bar as the engine: base
-        // rules, hot-path stream addressing, and the protocol-clock ban —
-        // with exactly one sanctioned escape hatch, the TCP transport's
-        // clock module.
+        // rules, hot-path stream addressing, and the protocol-clock ban.
+        // It runs in simulated time only, so no file of it may be
+        // excluded as a wall-clock site.
         let by_name = |name: &str| {
             SCOPES
                 .iter()
@@ -474,11 +474,13 @@ mod tests {
                 "crates/net missing from {name}"
             );
         }
-        assert!(by_name("protocol-clock")
-            .exclude_files
-            .contains(&"clock.rs"));
-        assert!(!by_name("library").exclude_files.contains(&"clock.rs"));
-        assert!(!by_name("hot-path").exclude_files.contains(&"clock.rs"));
+        for scope in SCOPES {
+            assert!(
+                !scope.exclude_files.contains(&"clock.rs"),
+                "{} excludes clock.rs",
+                scope.name
+            );
+        }
     }
 
     /// Every file that defines a phase kernel must be in the
