@@ -38,11 +38,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Library code must not panic on recoverable errors (experiment workers
-// would die mid-batch); tests are exempt. `.expect()` documenting an
-// infallible-by-construction case is allowed but audited by
-// `cargo xtask check`.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// Library code must stay a pure function of its seed and must not panic
+// on recoverable errors (experiment workers would die mid-batch). The
+// banned clocks, hashed containers and hand-seeded generators are listed
+// in crates/clippy.toml; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp,
+        clippy::disallowed_methods,
+        clippy::disallowed_types
+    )
+)]
 
 pub mod majority;
 pub mod mean_estimator;

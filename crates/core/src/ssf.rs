@@ -61,11 +61,14 @@ pub fn encode(tag: bool, value: Opinion) -> usize {
 /// # Panics
 ///
 /// Panics if `symbol >= 4`.
+#[expect(
+    clippy::expect_used,
+    reason = "symbol % 2 is always a valid Opinion index"
+)]
 pub fn decode(symbol: usize) -> (bool, Opinion) {
     assert!(symbol < 4, "symbol {symbol} outside the 2-bit alphabet");
     (
         symbol >= 2,
-        // xtask-allow: unwrap (symbol % 2 is always a valid Opinion index)
         Opinion::from_index(symbol % 2).expect("index in {0,1}"),
     )
 }

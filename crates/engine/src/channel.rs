@@ -191,7 +191,10 @@ impl Channel {
             .map(|s| noise.observation_distribution(s).to_vec())
             .collect();
         crate::invariants::check_rows_stochastic(&rows);
-        // xtask-allow: unwrap (NoiseMatrix rows are valid distributions by construction)
+        #[expect(
+            clippy::expect_used,
+            reason = "NoiseMatrix rows are valid distributions by construction"
+        )]
         let samplers = RowSamplers::new(&rows).expect("noise matrix rows are valid distributions");
         Channel {
             kind,
@@ -401,10 +404,12 @@ impl Channel {
                 // with −1e-17-scale negatives or Σq ≠ 1; the multinomial
                 // chain and the mean-field transition laws consume the
                 // whole vector, so clamp and renormalize all of it.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "infallible by construction: the nonzero histogram validated above \
+                              mixes stochastic rows, so the law sums to ≈ 1, never 0"
+                )]
                 normalize_law(&mut q)
-                    // xtask-allow: unwrap (infallible by construction: the
-                    // nonzero histogram validated above mixes stochastic
-                    // rows, so the law sums to ≈ 1, never 0)
                     .expect("nonzero histogram over stochastic rows yields a nonzero law");
                 let table = CdfTable::new_unchecked(h as u64, q[0]);
                 (q, Some(table))
@@ -480,8 +485,7 @@ impl Channel {
                 // identity permutation — this keeps each agent's subset a
                 // pure function of its own stream, independent of chunking.
                 let mut idx: Vec<usize> = (0..n).collect();
-                // xtask-allow: hot-loop-rng-construct (per-chunk scratch,
-                // reused across the agent loop below — not per-agent)
+                // Per-chunk scratch, reused across the agent loop below.
                 let mut swaps: Vec<usize> = Vec::with_capacity(h);
                 for (k, agent) in range.enumerate() {
                     let mut rng = streams.rng(agent, StreamStage::Observe);
@@ -518,12 +522,14 @@ impl Channel {
                 // is the conditional chain written straight into `out` —
                 // no per-agent scratch, no per-agent allocation.
                 assert_eq!(ctx.h, h as u64, "round context was built for a different h");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "infallible by construction: begin_round_from_counts always builds \
+                              the table for this mode; documented panic otherwise"
+                )]
                 let table = ctx
                     .level0
                     .as_ref()
-                    // xtask-allow: unwrap (infallible by construction:
-                    // begin_round_from_counts always builds the table for
-                    // this mode; documented panic otherwise)
                     .expect("with-replacement aggregated context carries a level-0 table");
                 for (k, agent) in range.enumerate() {
                     let mut rng = streams.rng(agent, StreamStage::Observe);
@@ -542,11 +548,8 @@ impl Channel {
                 // Without replacement there is no collapse: the sampled
                 // displays are multivariate hypergeometric, not i.i.d., so
                 // the two-stage factorization stays.
-                // xtask-allow: hot-loop-rng-construct (per-chunk scratch,
-                // reused across the agent loop below — not per-agent)
+                // Per-chunk scratch, reused across the agent loop below.
                 let mut sampled = vec![0u64; self.d];
-                // xtask-allow: hot-loop-rng-construct (per-chunk scratch,
-                // reused across the agent loop below — not per-agent)
                 let mut observed = vec![0u64; self.d];
                 for (k, agent) in range.enumerate() {
                     let mut rng = streams.rng(agent, StreamStage::Observe);
@@ -722,10 +725,12 @@ impl Channel {
                             }
                         }
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "infallible by construction: every built topology has minimum \
+                                  degree ≥ 1, so the local histogram is nonzero"
+                    )]
                     normalize_law(&mut q)
-                        // xtask-allow: unwrap (infallible by construction:
-                        // every built topology has minimum degree ≥ 1, so
-                        // the local histogram is nonzero)
                         .expect("nonempty neighborhood yields a nonzero local law");
                     let base = k * self.d;
                     multinomial::sample_into(&mut rng, h as u64, &q, &mut out[base..base + self.d]);

@@ -233,36 +233,42 @@ impl StageTimings {
     }
 }
 
-/// A stopwatch for phase timing inside [`crate::world::World::step`].
-///
-/// This is the **one sanctioned wall-clock site** in the engine: timing
-/// belongs to the observer, never to protocol code (enforced by the
-/// `wall-clock` and `protocol-instant` xtask lints). The clock only runs
-/// when an observer is attached, keeping the disabled path free of time
-/// syscalls.
-#[derive(Debug, Clone, Copy)]
-pub struct StageClock {
-    last: std::time::Instant,
-}
+pub use stage_clock::StageClock;
 
-impl StageClock {
-    /// Starts the clock.
-    pub fn start() -> Self {
-        StageClock {
-            // xtask-allow: wall-clock (sanctioned observer clock; runs
-            // only when an observer is attached)
-            last: std::time::Instant::now(),
-        }
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the sanctioned observer clock; runs only when an observer is attached"
+)]
+mod stage_clock {
+    use std::time::{Duration, Instant};
+
+    /// A stopwatch for phase timing inside [`crate::world::World::step`].
+    ///
+    /// This is the **one sanctioned wall-clock site** in the library
+    /// crates: timing belongs to the observer, never to protocol code. The
+    /// clock only runs when an observer is attached, keeping the disabled
+    /// path free of time syscalls.
+    #[derive(Debug, Clone, Copy)]
+    pub struct StageClock {
+        last: Instant,
     }
 
-    /// Time since the previous lap (or since `start`), and restarts.
-    pub fn lap(&mut self) -> Duration {
-        // xtask-allow: wall-clock (sanctioned observer clock; runs only
-        // when an observer is attached)
-        let now = std::time::Instant::now();
-        let elapsed = now - self.last;
-        self.last = now;
-        elapsed
+    impl StageClock {
+        /// Starts the clock.
+        pub fn start() -> Self {
+            StageClock {
+                last: Instant::now(),
+            }
+        }
+
+        /// Time since the previous lap (or since `start`), and restarts.
+        pub fn lap(&mut self) -> Duration {
+            let now = Instant::now();
+            let elapsed = now - self.last;
+            self.last = now;
+            elapsed
+        }
     }
 }
 

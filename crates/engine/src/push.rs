@@ -96,9 +96,12 @@ impl<P: PushProtocol> PushWorld<P> {
                 noise: noise.dim(),
             });
         }
-        // The PUSH reference model is a sequential single-threaded
-        // comparison baseline, outside the chunked round loop; a single
-        // sequential stream generator is the right shape here.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the PUSH reference model is a sequential single-threaded comparison \
+                      baseline, outside the chunked round loop; a single sequential stream \
+                      generator is the right shape here"
+        )]
         let mut rng = StreamRng::seed_from_u64(seed);
         let agents: Vec<P::Agent> = config
             .iter_roles()
@@ -108,7 +111,10 @@ impl<P: PushProtocol> PushWorld<P> {
             .map(|s| noise.observation_distribution(s).to_vec())
             .collect();
         crate::invariants::check_rows_stochastic(&rows);
-        // xtask-allow: unwrap (NoiseMatrix rows are valid distributions by construction)
+        #[expect(
+            clippy::expect_used,
+            reason = "NoiseMatrix rows are valid distributions by construction"
+        )]
         let samplers = RowSamplers::new(&rows).expect("noise rows are distributions");
         let n = config.n();
         let d = noise.dim();

@@ -41,6 +41,19 @@
 //! scattered on decode). The record's `SNAP_TAG` names the layout version;
 //! restoring a snapshot under a different tag fails loudly instead of
 //! misreading bytes.
+//!
+//! The decoder reads untrusted bytes: every input must come back as a
+//! value or an [`crate::EngineError::BadSnapshot`], never a panic, so the
+//! compiler rules out panicking indexes, `panic!`, `unwrap` and `expect`
+//! here, along with narrowing casts that would truncate silently.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation
+)]
 
 use crate::metrics::RoundMetrics;
 use crate::opinion::Opinion;
@@ -183,10 +196,10 @@ impl<'a> SnapReader<'a> {
     }
 
     fn take(&mut self, len: usize) -> Result<&'a [u8]> {
-        let end = self
+        let slice = self
             .pos
             .checked_add(len)
-            .filter(|&end| end <= self.buf.len())
+            .and_then(|end| self.buf.get(self.pos..end))
             .ok_or_else(|| {
                 bad(format!(
                     "truncated snapshot: wanted {len} bytes at offset {}, have {}",
@@ -194,35 +207,35 @@ impl<'a> SnapReader<'a> {
                     self.remaining()
                 ))
             })?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
+        self.pos += len;
         Ok(slice)
+    }
+
+    /// Reads exactly `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let bytes = self.take(N)?;
+        <[u8; N]>::try_from(bytes).map_err(|_| bad(format!("expected {N} bytes")))
     }
 
     /// Reads one byte.
     pub fn take_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        let [byte] = self.take_array()?;
+        Ok(byte)
     }
 
     /// Reads a little-endian `u32`.
     pub fn take_u32(&mut self) -> Result<u32> {
-        let bytes = self.take(4)?;
-        // xtask-allow: unwrap (take returned exactly 4 bytes)
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self) -> Result<u64> {
-        let bytes = self.take(8)?;
-        // xtask-allow: unwrap (take returned exactly 8 bytes)
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `i64`.
     pub fn take_i64(&mut self) -> Result<i64> {
-        let bytes = self.take(8)?;
-        // xtask-allow: unwrap (take returned exactly 8 bytes)
-        Ok(i64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        Ok(i64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u64` and converts it to `usize`, rejecting values that do

@@ -27,11 +27,15 @@
 //! scalar display vector — the seam that keeps the literal path (and its
 //! distribution-equivalence tests) byte-identical to before.
 
+// Snapshot fields are encoded here: no silent truncation.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::streams::StreamRng;
 use np_linalg::noise::NoiseMatrix;
 use rand::Rng;
 
 use crate::channel::{Channel, ChannelKind, SamplingMode};
+use crate::digest::Digest;
 use crate::faults::{FaultEvent, FaultPlan, ScheduledFault};
 use crate::metrics::{
     OpinionSeries, RoundMetrics, RunObserver, RunOutcome, StageClock, StageTimings, TraceRecorder,
@@ -162,8 +166,11 @@ impl<P: ColumnarProtocol> World<P> {
         let correct_opinion = config.correct_opinion();
         // A complete topology materializes no neighbor lists and only
         // rejects the empty population, which the config already forbids.
+        #[expect(
+            clippy::expect_used,
+            reason = "infallible by construction: Complete over n >= 1 cannot fail"
+        )]
         let topology = Topology::build(TopologySpec::Complete, n, seed)
-            // xtask-allow: unwrap (infallible by construction: Complete over n >= 1 cannot fail)
             .expect("complete topology over a nonempty population cannot fail");
         Ok(World {
             config,
@@ -288,18 +295,12 @@ impl<P: ColumnarProtocol> World<P> {
     /// streams make it thread-count-invariant, so one pinned value per
     /// seed covers every thread count.
     pub fn outcome_digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |byte: u8| {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for byte in self.round.to_le_bytes() {
-            eat(byte);
-        }
+        let mut digest = Digest::new();
+        digest.update_u64(self.round);
         for id in 0..self.state.len() {
-            eat(self.state.opinion(id).as_byte());
+            digest.update(&[self.state.opinion(id).as_byte()]);
         }
-        hash
+        digest.value()
     }
 
     /// Enables per-round recording of opinion counts (see
@@ -529,6 +530,11 @@ impl<P: ColumnarProtocol> World<P> {
     /// over [`World::threads`] scoped workers; the per-chunk invariant
     /// checks name global agent ids, and a panic in any worker is
     /// re-raised on the caller with its original message.
+    ///
+    /// The chunk dispatch itself must not be able to panic: it zips chunk
+    /// iterators, so an out-of-range access is unrepresentable rather
+    /// than a worker-thread abort.
+    #[deny(clippy::indexing_slicing, clippy::panic, clippy::unreachable)]
     pub fn step(&mut self) {
         let n = self.config.n();
         let h = self.config.h();
@@ -611,7 +617,8 @@ impl<P: ColumnarProtocol> World<P> {
             // Pair every state chunk with its observation (and mask)
             // chunk up front: the worker closure receives pre-sliced
             // views and never indexes, so out-of-range access is
-            // unrepresentable in the hot loop (panic-path lint).
+            // unrepresentable in the hot loop (`indexing_slicing` is
+            // denied on this function).
             let mut mask_chunks = awake.as_deref().map(|mask| mask.chunks(chunk));
             let jobs: Vec<_> = self
                 .state

@@ -194,8 +194,8 @@ impl Matrix {
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self[(i, k)];
-                // xtask-allow: float-eq (exact-zero skip exploiting sparsity; a tolerance
-                // here would change results)
+                // Exact-zero skip exploiting sparsity; a tolerance here
+                // would change results.
                 if a == 0.0 {
                     continue;
                 }
@@ -358,8 +358,11 @@ impl Mul<&Matrix> for &Matrix {
     ///
     /// Panics on dimension mismatch; use [`Matrix::mul_checked`] for a
     /// fallible version.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: `Mul` is the panicking variant of mul_checked"
+    )]
     fn mul(self, rhs: &Matrix) -> Matrix {
-        // xtask-allow: unwrap (documented panic: `Mul` is the panicking variant of mul_checked)
         self.mul_checked(rhs).expect("dimension mismatch")
     }
 }

@@ -394,7 +394,7 @@ pub fn f_delta(d: usize, delta: f64) -> Result<f64> {
             range: format!("[0, 1/{d})"),
         });
     }
-    // xtask-allow: float-eq (IEEE sentinel: exact zero has a closed-form answer)
+    // Exact zero has a closed-form answer.
     if delta == 0.0 {
         return Ok(0.0);
     }

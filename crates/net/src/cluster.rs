@@ -126,42 +126,6 @@ pub struct ClusterReport {
     pub digest: u64,
 }
 
-/// FNV-1a folding used for run digests — same constants as
-/// `World::outcome_digest`, so two equal digests mean equal byte streams.
-#[derive(Debug, Clone, Copy)]
-pub struct Digest(u64);
-
-impl Digest {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds raw bytes into the digest.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Folds a `u64` (little-endian) into the digest.
-    pub fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
-    }
-
-    /// The current digest value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Digest {
-    fn default() -> Self {
-        Digest::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,16 +149,5 @@ mod tests {
         let mut cfg = ClusterConfig::new(64, 0, 1, 4, 0.1, 7);
         cfg.drop_rate = 1.5;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn digest_is_order_sensitive() {
-        let mut a = Digest::new();
-        a.update_u64(1);
-        a.update_u64(2);
-        let mut b = Digest::new();
-        b.update_u64(2);
-        b.update_u64(1);
-        assert_ne!(a.value(), b.value());
     }
 }

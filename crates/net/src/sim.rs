@@ -23,12 +23,13 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use np_engine::channel::{Channel, ChannelKind};
+use np_engine::digest::Digest;
 use np_engine::protocol::{AgentState, Protocol};
 use np_engine::streams::{RoundStreams, StreamRng, StreamStage};
 use np_linalg::noise::NoiseMatrix;
 use rand::Rng;
 
-use crate::cluster::{ClusterConfig, ClusterReport, Digest};
+use crate::cluster::{ClusterConfig, ClusterReport};
 use crate::faults::{LinkCondition, NetFault, NetFaultPlan};
 use crate::msg::{Envelope, NetMsg, WEAK_NONE};
 use crate::node::{Node, NodeAction, NodeEvent, Transport, DRIVER};

@@ -62,12 +62,12 @@ pub fn pmf(n: u64, p: f64, k: u64) -> Result<f64> {
     if k > n {
         return Ok(0.0);
     }
-    // xtask-allow: float-eq (degenerate-distribution sentinels: exactly 0 and 1
-    // have closed forms; near-0/1 must take the general path)
+    // Degenerate distributions: exactly 0 and 1 have closed forms;
+    // near-0/1 must take the general path.
     if p == 0.0 {
         return Ok(if k == 0 { 1.0 } else { 0.0 });
     }
-    // xtask-allow: float-eq (degenerate-distribution sentinel)
+    #[expect(clippy::float_cmp, reason = "degenerate-distribution sentinel")]
     if p == 1.0 {
         return Ok(if k == n { 1.0 } else { 0.0 });
     }
@@ -135,11 +135,10 @@ pub fn sample<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> Result<u64> {
 /// clamped by the underlying arithmetic, producing meaningless output.
 pub fn sample_unchecked<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     debug_assert!((0.0..=1.0).contains(&p));
-    // xtask-allow: float-eq (degenerate-distribution sentinels, as in `pmf`)
     if n == 0 || p == 0.0 {
         return 0;
     }
-    // xtask-allow: float-eq (degenerate-distribution sentinel)
+    #[expect(clippy::float_cmp, reason = "degenerate-distribution sentinel")]
     if p == 1.0 {
         return n;
     }
@@ -207,16 +206,18 @@ impl CdfTable {
             ks: vec![k],
             cum: vec![1.0],
         };
-        // xtask-allow: float-eq (degenerate-distribution sentinels, as in `pmf`)
         if n == 0 || p == 0.0 {
             return single(0);
         }
-        // xtask-allow: float-eq (degenerate-distribution sentinel)
+        #[expect(clippy::float_cmp, reason = "degenerate-distribution sentinel")]
         if p == 1.0 {
             return single(n);
         }
         let mode = ((((n + 1) as f64) * p).floor() as u64).min(n);
-        // xtask-allow: unwrap (p validated by every caller of this path)
+        #[expect(
+            clippy::expect_used,
+            reason = "p validated by every caller of this path"
+        )]
         let pmf_mode = pmf(n, p, mode).expect("p validated");
         let q = 1.0 - p;
         let ratio = p / q;
@@ -332,16 +333,18 @@ impl TailTable {
             pmf: vec![1.0],
             cdf: vec![1.0],
         };
-        // xtask-allow: float-eq (degenerate-distribution sentinels, as in `pmf`)
         if n == 0 || p == 0.0 {
             return single(0);
         }
-        // xtask-allow: float-eq (degenerate-distribution sentinel)
+        #[expect(clippy::float_cmp, reason = "degenerate-distribution sentinel")]
         if p == 1.0 {
             return single(n);
         }
         let mode = ((((n + 1) as f64) * p).floor() as u64).min(n);
-        // xtask-allow: unwrap (p validated by every caller of this path)
+        #[expect(
+            clippy::expect_used,
+            reason = "p validated by every caller of this path"
+        )]
         let pmf_mode = pmf(n, p, mode).expect("p validated");
         let q = 1.0 - p;
         let ratio = p / q;
@@ -534,7 +537,10 @@ fn sample_binv<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
 fn sample_from_mode<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     let mode = (((n + 1) as f64) * p).floor() as u64;
     let mode = mode.min(n);
-    // xtask-allow: unwrap (p was validated by every public caller of this path)
+    #[expect(
+        clippy::expect_used,
+        reason = "p was validated by every public caller of this path"
+    )]
     let pmf_mode = pmf(n, p, mode).expect("p validated");
     let q = 1.0 - p;
     let ratio = p / q;

@@ -17,7 +17,7 @@ use crate::{Result, StatsError};
 ///
 /// Returns [`StatsError::ParameterOutOfRange`] if `δ ∉ (0, 1)` or `μ < 0`.
 pub fn chernoff_lower_tail(mu: f64, delta: f64) -> Result<f64> {
-    // xtask-allow: float-eq (open-interval boundary: δ must be strictly positive)
+    // Open-interval boundary: δ must be strictly positive.
     if !(0.0..1.0).contains(&delta) || delta == 0.0 {
         return Err(StatsError::ParameterOutOfRange {
             name: "delta",

@@ -103,7 +103,10 @@ pub fn sample_unchecked<R: Rng + ?Sized>(
     let mode =
         (((draws + 1) as f64) * ((successes + 1) as f64) / ((total + 2) as f64)).floor() as u64;
     let mode = mode.clamp(k_min, k_max);
-    // xtask-allow: unwrap (parameters validated by the public `sample` wrapper)
+    #[expect(
+        clippy::expect_used,
+        reason = "parameters validated by the public `sample` wrapper"
+    )]
     let pmf_mode = pmf(total, successes, draws, mode).expect("validated");
     let mut u = rng.gen::<f64>() - pmf_mode;
     if u <= 0.0 {

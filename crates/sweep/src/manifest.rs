@@ -13,9 +13,20 @@
 //!
 //! Encoding is hand-rolled with `np_bench::report`'s JSON writers (fixed
 //! field order, shortest-roundtrip float rendering) so that
-//! encode→decode→encode is byte-identical — the property the proptest suite pins down. This file
-//! is a *deterministic-bytes* path: wall clocks and hash-map iteration are
-//! banned here (enforced by `cargo xtask check`).
+//! encode→decode→encode is byte-identical — the property the proptest
+//! suite pins down. This file is a *deterministic-bytes* path: wall
+//! clocks and hash-map iteration are banned here, as in every library
+//! crate (`crates/clippy.toml`), and narrowing casts are denied. The
+//! decoder reads untrusted bytes, so the compiler also rules out every
+//! panicking index, `panic!`, `unwrap` and `expect` in this file.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation
+)]
 
 use std::io::Write;
 use std::path::Path;
@@ -356,16 +367,15 @@ impl Parser<'_> {
                 }) {
                     self.i += 1;
                 }
-                let raw = std::str::from_utf8(&self.bytes[start..self.i])
-                    .map_err(|_| self.bad("non-UTF-8 number"))?;
-                Ok(Json::Num(raw.to_string()))
+                Ok(Json::Num(self.span_str(start, self.i)?.to_string()))
             }
             _ => Err(self.bad("expected a value")),
         }
     }
 
     fn keyword(&mut self, word: &str, value: Json) -> Result<Json, SweepError> {
-        if self.bytes[self.i..].starts_with(word.as_bytes()) {
+        let rest = self.bytes.get(self.i..).unwrap_or_default();
+        if rest.starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(value)
         } else {
@@ -420,8 +430,11 @@ impl Parser<'_> {
     }
 
     fn span_str(&self, start: usize, end: usize) -> Result<&str, SweepError> {
-        std::str::from_utf8(&self.bytes[start..end])
-            .map_err(|_| SweepError("manifest line is not UTF-8".into()))
+        let span = self
+            .bytes
+            .get(start..end)
+            .ok_or_else(|| self.bad("span out of range"))?;
+        std::str::from_utf8(span).map_err(|_| SweepError("manifest line is not UTF-8".into()))
     }
 }
 

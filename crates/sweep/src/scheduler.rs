@@ -457,6 +457,11 @@ pub fn aggregate(spec: &SweepSpec, records: &[JobRecord]) -> Result<Vec<PerfPoin
                     let mut runs = 0usize;
                     let mut converged = 0usize;
                     let mut rounds_sum = 0.0f64;
+                    #[expect(
+                        clippy::float_cmp,
+                        reason = "job and grid deltas are copies of the same spec.deltas \
+                                  entry, so exact equality is the grouping intent"
+                    )]
                     for job in jobs.iter().filter(|j| {
                         j.protocol == protocol
                             && j.n == n

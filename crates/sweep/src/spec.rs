@@ -23,6 +23,9 @@
 //! alone, so the expansion is a pure function of the spec text — the
 //! property `--resume` relies on.
 
+// Job ids and seeds feed byte-compared manifests: no silent truncation.
+#![deny(clippy::cast_possible_truncation)]
+
 use np_engine::topology::TopologySpec;
 use np_stats::seeds::SeedSequence;
 

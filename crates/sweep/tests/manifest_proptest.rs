@@ -1,7 +1,9 @@
 //! Property tests: an `np-manifest/v1` record must decode back to itself
 //! and re-encode to the exact bytes it came from. The manifest is an
 //! append-only journal that resumed sweeps replay, so encoding has to be
-//! a pure, byte-stable function of the record.
+//! a pure, byte-stable function of the record. And a crash can leave any
+//! bytes on its last line: junk, a truncated record or a flipped bit must
+//! parse to a value or a typed error, never a panic.
 
 use np_sweep::manifest::{JobRecord, JobStatus};
 use proptest::prelude::*;
@@ -74,5 +76,55 @@ proptest! {
         let decoded = JobRecord::parse(&line).unwrap();
         prop_assert_eq!(&decoded, &rec);
         prop_assert_eq!(decoded.to_json_line(), line);
+    }
+}
+
+/// One valid record line, varied by `seed`.
+fn record_line(seed: u64) -> String {
+    JobRecord {
+        job: format!("sf-n64-d0.1-r{}", seed % 7),
+        protocol: "sf".into(),
+        n: 64,
+        h: 64,
+        s0: 0,
+        s1: 1,
+        delta: 0.1,
+        c1: 1.0,
+        seed,
+        budget: 400,
+        status: JobStatus::Checkpointed,
+        checkpoint: Some("snaps/δ→\"\n.npsnap".into()),
+        round: seed % 400,
+        consensus: seed.is_multiple_of(2),
+        correct: 17,
+    }
+    .to_json_line()
+}
+
+proptest! {
+    #[test]
+    fn parse_of_junk_after_a_valid_prefix_never_panics(
+        seed in any::<u64>(),
+        keep in any::<usize>(),
+        junk in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let line = record_line(seed);
+        let bytes = [&line.as_bytes()[..keep % line.len()], &junk].concat();
+        let _ = JobRecord::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn parse_of_a_truncated_record_is_a_typed_error(seed in any::<u64>(), cut in any::<usize>()) {
+        let line = record_line(seed);
+        let bytes = &line.as_bytes()[..cut % line.len()];
+        prop_assert!(JobRecord::parse(&String::from_utf8_lossy(bytes)).is_err());
+    }
+
+    #[test]
+    fn parse_of_a_bit_flipped_record_never_panics(seed in any::<u64>(), bit in any::<usize>()) {
+        let mut bytes = record_line(seed).into_bytes();
+        let bit = bit % (bytes.len() * 8);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let _ = JobRecord::parse(&String::from_utf8_lossy(&bytes));
     }
 }

@@ -1,17 +1,15 @@
 //! `cargo xtask check-artifacts`: static validation of the workspace's
 //! committed/emitted JSON artifacts against their v1 schemas.
 //!
-//! One analyzer binary guards both the source (the lint pass) and the
-//! artifacts the source promises to reproduce. Validators are strict on
-//! *shape* — exact key sets, fixed order where the writer fixes it, type
-//! checks, enum domains — plus the cross-field invariants a schema alone
-//! cannot say (`converged == 0` ⟺ `mean_rounds == null`, a
-//! `checkpointed` record carries a checkpoint path, report entries are
-//! sorted). Anything the hand-rolled writers in `np_bench::report` and
+//! Validators are strict on *shape* — exact key sets, fixed order where
+//! the writer fixes it, type checks, enum domains — plus the cross-field
+//! invariants a schema alone cannot say (`converged == 0` ⟺
+//! `mean_rounds == null`, a `checkpointed` record carries a checkpoint
+//! path, report entries are sorted). Anything the hand-rolled writers in `np_bench::report` and
 //! `np_sweep::manifest` cannot emit is an error here.
 //!
 //! Supported schemas: `np-bench/v1`, `np-run-summary/v1`,
-//! `np-manifest/v1` (JSONL), `np-lint/v1` (JSONL).
+//! `np-manifest/v1` (JSONL).
 
 use std::path::{Path, PathBuf};
 
@@ -84,11 +82,6 @@ const MANIFEST_KEYS: &[&str] = &[
     "consensus",
     "correct",
 ];
-/// Keys of one np-lint/v1 report entry, in writer order.
-const LINT_KEYS: &[&str] = &[
-    "file", "line", "rule", "severity", "scope", "message", "excerpt",
-];
-
 /// The artifacts `check-artifacts` validates when given no paths: every
 /// `BENCH_*.json` file directly under `root`, in sorted order. The set is
 /// read from the directory, so a BENCH file cannot be added or deleted
@@ -125,7 +118,6 @@ pub fn validate_text(text: &str) -> Result<String, Vec<String>> {
         Some("np-bench/v1") => validate_bench(text),
         Some("np-run-summary/v1") => validate_run_summary(text),
         Some("np-manifest/v1") => validate_manifest(text),
-        Some("np-lint/v1") => validate_lint_report(text),
         Some(other) => Err(vec![format!("unknown artifact schema {other:?}")]),
         None => Err(vec!["no schema tag found (not a v1 artifact?)".to_owned()]),
     }
@@ -440,86 +432,6 @@ pub fn validate_manifest(text: &str) -> Result<String, Vec<String>> {
         errs.push("manifest has no records".to_owned());
     }
     finish(errs, format!("np-manifest/v1, {records} record(s)"))
-}
-
-/// Validates an `np-lint/v1` JSONL report.
-pub fn validate_lint_report(text: &str) -> Result<String, Vec<String>> {
-    let mut errs = Vec::new();
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = match lines.next() {
-        Some(line) => match json::parse(line) {
-            Ok(h) => Some(h),
-            Err(e) => {
-                errs.push(format!("header: parse: {e}"));
-                None
-            }
-        },
-        None => {
-            errs.push("empty report (expected at least a header line)".to_owned());
-            None
-        }
-    };
-    let declared = header.as_ref().and_then(|h| {
-        check_keys(h, &["schema", "files", "findings"], "header", &mut errs);
-        expect_str(h, "schema", Some("np-lint/v1"), "header", &mut errs);
-        expect_u64(h, "files", "header", &mut errs);
-        expect_u64(h, "findings", "header", &mut errs)
-    });
-    let mut entries = 0usize;
-    let mut prev_key: Option<(String, u64, String)> = None;
-    for (idx, line) in lines.enumerate() {
-        let at = format!("finding {}", idx + 1);
-        let entry = match json::parse(line) {
-            Ok(entry) => entry,
-            Err(e) => {
-                errs.push(format!("{at}: parse: {e}"));
-                continue;
-            }
-        };
-        entries += 1;
-        check_keys(&entry, LINT_KEYS, &at, &mut errs);
-        expect_str(&entry, "file", None, &at, &mut errs);
-        expect_u64(&entry, "line", &at, &mut errs);
-        expect_str(&entry, "rule", None, &at, &mut errs);
-        match entry.get("severity").and_then(Json::as_str) {
-            Some("deny" | "warn") => {}
-            Some(other) => errs.push(format!("{at}: unknown severity {other:?}")),
-            None => errs.push(format!("{at}: `severity` must be a string")),
-        }
-        expect_str(&entry, "scope", None, &at, &mut errs);
-        expect_str(&entry, "message", None, &at, &mut errs);
-        expect_str(&entry, "excerpt", None, &at, &mut errs);
-        let key = (
-            entry
-                .get("file")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            entry.get("line").and_then(Json::as_u64).unwrap_or_default(),
-            entry
-                .get("rule")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-        );
-        if let Some(prev) = &prev_key {
-            if *prev > key {
-                errs.push(format!(
-                    "{at}: entries not sorted by (file, line, rule) — byte-stable \
-                     ordering is part of the np-lint/v1 contract"
-                ));
-            }
-        }
-        prev_key = Some(key);
-    }
-    if let Some(declared) = declared {
-        if declared != entries as u64 {
-            errs.push(format!(
-                "header declares {declared} finding(s) but the report has {entries}"
-            ));
-        }
-    }
-    finish(errs, format!("np-lint/v1, {entries} finding(s)"))
 }
 
 fn finish(errs: Vec<String>, what: String) -> Result<String, Vec<String>> {
@@ -922,27 +834,6 @@ mod tests {
             errs.iter().any(|e| e.contains("unknown status")),
             "{errs:?}"
         );
-    }
-
-    #[test]
-    fn lint_report_counts_and_order_are_checked() {
-        let good = "{\"schema\":\"np-lint/v1\",\"files\":2,\"findings\":2}\n\
-                    {\"file\":\"a.rs\",\"line\":1,\"rule\":\"unwrap\",\"severity\":\"deny\",\
-                     \"scope\":\"library\",\"message\":\"m\",\"excerpt\":\"e\"}\n\
-                    {\"file\":\"b.rs\",\"line\":9,\"rule\":\"float-eq\",\"severity\":\"warn\",\
-                     \"scope\":\"library\",\"message\":\"m\",\"excerpt\":\"e\"}\n";
-        assert_eq!(
-            validate_text(good).expect("valid"),
-            "np-lint/v1, 2 finding(s)"
-        );
-        let miscounted = good.replace("\"findings\":2", "\"findings\":3");
-        let errs = validate_text(&miscounted).expect_err("count");
-        assert!(errs.iter().any(|e| e.contains("declares 3")), "{errs:?}");
-        // Swap the two entries: ordering violation.
-        let lines: Vec<&str> = good.lines().collect();
-        let unsorted = format!("{}\n{}\n{}\n", lines[0], lines[2], lines[1]);
-        let errs = validate_text(&unsorted).expect_err("order");
-        assert!(errs.iter().any(|e| e.contains("not sorted")), "{errs:?}");
     }
 
     #[test]

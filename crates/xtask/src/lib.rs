@@ -1,42 +1,20 @@
-//! Static analysis for the noisy-PULL workspace: determinism and
-//! robustness lints beyond what rustc/clippy check, plus schema
-//! validation for the workspace's JSON artifacts.
+//! Workspace task runner for the noisy-PULL reproduction.
 //!
-//! The paper's guarantees (Theorems 4 and 5) are probability statements
-//! over *seeded* randomness, and `np_engine::runner::run_batch` promises
-//! results that depend only on `(seeds, runs, job)`. One stray
-//! `thread_rng()`, wall-clock branch, or `HashMap` iteration in a protocol
-//! hot path silently breaks reproducibility of every experiment. These
-//! lints make that class of bug a CI failure instead of a silent drift.
+//! It holds what rustc and clippy cannot check: [`artifacts`] validates
+//! the committed `BENCH_*.json` files (and any `np-run-summary/v1` or
+//! `np-manifest/v1` artifact) against their schemas, reading them with
+//! the zero-dependency [`json`] parser. Run it as
+//! `cargo xtask check-artifacts`.
 //!
-//! The analyzer is token-level, not line-level: [`lexer`] produces a
-//! string/comment-aware token stream, [`resolve`] builds the file's import
-//! graph (so grouped, nested and renamed `use` declarations all resolve),
-//! and [`scanner`] runs the declarative rule catalog in [`rules`] over the
-//! resolved stream. Findings render through [`report`] as the byte-stable
-//! `np-lint/v1` JSONL format; [`artifacts`] validates the workspace's
-//! emitted JSON artifacts (`np-bench/v1`, `np-run-summary/v1`,
-//! `np-manifest/v1`, `np-lint/v1`) against their schemas.
-//!
-//! False positives are silenced inline with an `xtask-allow` line comment
-//! naming the rule, on the offending or preceding line — an auditable
-//! escape hatch, and an *accountable* one: a directive that suppresses
-//! nothing is itself a `stale-allow` finding.
-//!
-//! Run as `cargo xtask lint` (see `src/main.rs` for the CLI and file
-//! selection; the scope table lives in [`rules::SCOPES`]).
+//! The determinism rules the paper's seeded guarantees (Theorems 4 and 5)
+//! depend on — no wall clocks, hashed-container iteration or hand-seeded
+//! generators in library code — are clippy's job: `crates/clippy.toml`
+//! lists the banned items and each library crate root denies them. The
+//! integration tests here prove that configuration fires on a fixture
+//! crate and that every library root carries its safety headers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artifacts;
 pub mod json;
-pub mod legacy;
-pub mod lexer;
-pub mod report;
-pub mod resolve;
-pub mod rules;
-pub mod scanner;
-
-pub use rules::{RuleDef, Severity, BASE_RULES, HOT_PATH_RULES, SCOPES, SNAPSHOT_PATH_RULES};
-pub use scanner::{analyze_source, FileClass, Finding, RuleSet};

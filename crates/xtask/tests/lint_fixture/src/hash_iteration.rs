@@ -1,5 +1,4 @@
-//! Bad fixture: nondeterministic hash iteration. Rule `hash-iteration`
-//! must fire on lines 5 and 6.
+//! Hashed containers iterate in a per-process random order.
 
 pub fn tally() -> usize {
     let set = std::collections::HashSet::<u32>::new();

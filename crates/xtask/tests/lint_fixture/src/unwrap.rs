@@ -1,5 +1,4 @@
-//! Bad fixture: unwrap/expect in library code. Rule `unwrap` must fire on
-//! lines 5 and 9.
+//! `unwrap` and `expect` turn recoverable errors into panics.
 
 pub fn first(xs: &[u32]) -> u32 {
     *xs.first().unwrap()

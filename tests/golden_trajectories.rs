@@ -5,9 +5,10 @@
 //! Each world run rebuilds a `noisy-pull run …` invocation from library
 //! calls and checks [`World::outcome_digest`] (the value the CLI prints
 //! under `--digest`) at 1 and 4 worker threads, so one pin also proves
-//! the two thread counts agree. The cluster runs
-//! rebuild `noisy-pull cluster …` on the simulated-time transport and
-//! check its `ClusterReport` digest and convergence round. The digests
+//! the two thread counts agree. The mean-field run pins its outcome and
+//! a digest of every round's correct count. The cluster runs rebuild
+//! `noisy-pull cluster …` on the simulated-time transport and check
+//! their `ClusterReport` digest and convergence round. The digests
 //! depend on the platform's libm (the channel tables use `ln`/`exp`);
 //! they are pinned for x86_64 Linux. A change that moves trajectories on
 //! purpose updates this table, and the diff names what moved.
@@ -15,7 +16,10 @@
 use std::sync::Arc;
 
 use noisy_pull::ssf::{SsfAgent, SsfColumns};
+use noisy_pull_repro::baselines::majority::HMajority;
 use noisy_pull_repro::prelude::*;
+use np_engine::counts::CountsWorld;
+use np_engine::digest::Digest;
 use np_engine::streams::StreamRng;
 use np_net::cluster::{ClusterConfig, ClusterReport};
 use np_net::faults::{NetFault, NetFaultPlan};
@@ -42,7 +46,7 @@ struct ClusterPin {
     converged_at: u64,
 }
 
-const WORLD_PINS: [WorldPin; 3] = [
+const WORLD_PINS: [WorldPin; 5] = [
     WorldPin {
         run: "run sf --n 256 --seed 7",
         digest_at: sf_complete,
@@ -59,7 +63,35 @@ const WORLD_PINS: [WorldPin; 3] = [
         digest_at: ssf_faulted,
         digest: 0xb7ab_f319_e490_611e,
     },
+    WorldPin {
+        run: "SF-ALT, n = 256, delta = 0.2, c1 = 1, seed 7, 20 rounds (no CLI subcommand)",
+        digest_at: sf_alt_complete,
+        digest: 0x24fc_f5f3_f0ca_0cd4,
+    },
+    WorldPin {
+        run: "run baseline majority --n 256 --h 3 --seed 7 --budget 100",
+        digest_at: majority_complete,
+        digest: 0x3b25_9507_9065_1278,
+    },
 ];
+
+/// Where the SF-ALT pin stops: mid-boost, with 249 of 256 agents correct.
+const SF_ALT_ROUNDS: u64 = 20;
+
+/// A mean-field run: its outcome and an FNV-1a digest of the correct
+/// count after every round (little-endian `u64`s, in round order).
+struct CountsPin {
+    /// The CLI invocation the run reproduces.
+    run: &'static str,
+    outcome: RunOutcome,
+    correct_digest: u64,
+}
+
+const COUNTS_PIN: CountsPin = CountsPin {
+    run: "run sf --n 65536 --seed 7 --backend mean-field",
+    outcome: RunOutcome::Converged { rounds: 38 },
+    correct_digest: 0x8e2e_00b1_90c3_cbb5,
+};
 
 const CLUSTER_PINS: [ClusterPin; 2] = [
     ClusterPin {
@@ -106,6 +138,55 @@ fn sf_ring(threads: usize) -> u64 {
     world.set_topology(TopologySpec::Ring { k: 4 }).unwrap();
     world.run(budget);
     world.outcome_digest()
+}
+
+/// SF-ALT with the `run sf` defaults, stopped at round
+/// [`SF_ALT_ROUNDS`]. It reaches consensus by round 24, and the outcome
+/// digest of any converged run depends only on its length: over SF's
+/// full schedule SF-ALT ends on SF's pin.
+fn sf_alt_complete(threads: usize) -> u64 {
+    let config = PopulationConfig::new(256, 0, 1, 256).unwrap();
+    let params = SfParams::derive(&config, 0.2, 1.0).unwrap();
+    let noise = NoiseMatrix::uniform(2, 0.2).unwrap();
+    let mut world = World::new(
+        &AlternatingSourceFilter::new(params),
+        config,
+        &noise,
+        ChannelKind::Aggregated,
+        7,
+    )
+    .unwrap();
+    world.set_threads(threads);
+    world.run(SF_ALT_ROUNDS);
+    world.outcome_digest()
+}
+
+/// The h-majority baseline at `h = 3`, where noise keeps the population
+/// split (147 of 256 correct at the end), run for its full budget.
+fn majority_complete(threads: usize) -> u64 {
+    let config = PopulationConfig::new(256, 0, 1, 3).unwrap();
+    let noise = NoiseMatrix::uniform(2, 0.2).unwrap();
+    let mut world = World::new(&HMajority, config, &noise, ChannelKind::Aggregated, 7).unwrap();
+    world.set_threads(threads);
+    world.run(100);
+    world.outcome_digest()
+}
+
+/// `run sf --backend mean-field`: SF on the class-count engine, run to
+/// consensus within the schedule, with the correct count folded after
+/// every round.
+fn sf_counts() -> (RunOutcome, u64) {
+    let config = PopulationConfig::new(65_536, 0, 1, 65_536).unwrap();
+    let params = SfParams::derive(&config, 0.2, 1.0).unwrap();
+    let noise = NoiseMatrix::uniform(2, 0.2).unwrap();
+    let mut world = CountsWorld::new(&SourceFilter::new(params), config, &noise, 7).unwrap();
+    world.record_trace();
+    let outcome = world.run_until_consensus(params.total_rounds());
+    let mut digest = Digest::new();
+    for round in world.trace().unwrap() {
+        digest.update_u64(round.correct as u64);
+    }
+    (outcome, digest.value())
 }
 
 /// ci.sh's faulted SSF run: half the population corrupted to the wrong
@@ -200,6 +281,17 @@ fn world_outcome_digests_match_their_pins_at_every_thread_count() {
             );
         }
     }
+}
+
+#[test]
+fn counts_engine_outcome_and_correct_counts_match_their_pin() {
+    let (outcome, correct_digest) = sf_counts();
+    assert_eq!(
+        (outcome, correct_digest),
+        (COUNTS_PIN.outcome, COUNTS_PIN.correct_digest),
+        "`{}`: {outcome:?}, correct-count digest {correct_digest:#018x}",
+        COUNTS_PIN.run
+    );
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! Property tests for `np-snap/v1`: snapshot → restore → snapshot must
 //! reproduce the exact bytes, for arbitrary populations and seeds, at
 //! any point in a run — including a snapshot taken mid fault plan, with
-//! some events already applied and others still pending.
+//! some events already applied and others still pending. And restore is a
+//! decoder of untrusted bytes: junk, a truncated snapshot or one with a
+//! flipped bit must come back as a value or a typed error, never a panic.
 
 use noisy_pull_repro::prelude::*;
 use proptest::prelude::*;
@@ -81,6 +83,82 @@ proptest! {
         restored.run(3);
         prop_assert_eq!(restored.round(), 8);
     }
+}
+
+proptest! {
+    // Decoding is cheap next to the round trips above: more cases.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn restore_of_junk_after_a_valid_prefix_never_panics(
+        seed in any::<u64>(),
+        keep in any::<usize>(),
+        junk in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let (sf, bytes) = sf_snapshot(seed, 3);
+        let _ = World::restore(&sf, &[&bytes[..keep % bytes.len()], &junk].concat());
+        let (ssf, bytes) = ssf_snapshot(seed, 3);
+        let _ = World::restore(&ssf, &[&bytes[..keep % bytes.len()], &junk].concat());
+    }
+
+    #[test]
+    fn restore_of_a_truncated_snapshot_is_a_typed_error(
+        seed in any::<u64>(),
+        ran in 0u64..12,
+        cut in any::<usize>(),
+    ) {
+        let (sf, bytes) = sf_snapshot(seed, ran);
+        prop_assert!(World::restore(&sf, &bytes[..cut % bytes.len()]).is_err());
+        let (ssf, bytes) = ssf_snapshot(seed, ran);
+        prop_assert!(World::restore(&ssf, &bytes[..cut % bytes.len()]).is_err());
+    }
+
+    #[test]
+    fn restore_of_a_bit_flipped_snapshot_never_panics(
+        seed in any::<u64>(),
+        ran in 0u64..12,
+        bit in any::<usize>(),
+    ) {
+        let (sf, mut bytes) = sf_snapshot(seed, ran);
+        flip(&mut bytes, bit);
+        let _ = World::restore(&sf, &bytes);
+        let (ssf, mut bytes) = ssf_snapshot(seed, ran);
+        flip(&mut bytes, bit);
+        let _ = World::restore(&ssf, &bytes);
+    }
+}
+
+/// An SF world with a trace, run `ran` rounds, and its snapshot.
+fn sf_snapshot(seed: u64, ran: u64) -> (SourceFilter, Vec<u8>) {
+    let config = PopulationConfig::new(24, 0, 1, 24).unwrap();
+    let params = SfParams::derive(&config, 0.1, 1.0).unwrap();
+    let noise = NoiseMatrix::uniform(2, 0.1).unwrap();
+    let protocol = SourceFilter::new(params);
+    let mut world = World::new(&protocol, config, &noise, ChannelKind::Aggregated, seed).unwrap();
+    world.record_trace();
+    world.run(ran);
+    let bytes = world.snapshot();
+    (protocol, bytes)
+}
+
+/// An SSF world with an opinion series, run `ran` rounds, and its
+/// snapshot.
+fn ssf_snapshot(seed: u64, ran: u64) -> (SelfStabilizingSourceFilter, Vec<u8>) {
+    let config = PopulationConfig::new(24, 0, 1, 24).unwrap();
+    let params = SsfParams::derive(&config, 0.1, 8.0).unwrap();
+    let noise = NoiseMatrix::uniform(4, 0.1).unwrap();
+    let protocol = SelfStabilizingSourceFilter::new(params);
+    let mut world = World::new(&protocol, config, &noise, ChannelKind::Exact, seed).unwrap();
+    world.record_series();
+    world.run(ran);
+    let bytes = world.snapshot();
+    (protocol, bytes)
+}
+
+/// Flips bit `bit mod 8·len` of `bytes`.
+fn flip(bytes: &mut [u8], bit: usize) {
+    let bit = bit % (bytes.len() * 8);
+    bytes[bit / 8] ^= 1 << (bit % 8);
 }
 
 /// Snapshots written before the protocols had one per-agent codec carry a
