@@ -27,7 +27,7 @@ use noisy_pull::adversary::SsfAdversary;
 use noisy_pull::params::SsfParams;
 use noisy_pull::ssf::{SelfStabilizingSourceFilter, SsfColumns};
 use np_bench::harness::auto_channel;
-use np_bench::report::{fmt_f64, save_bench_json, PerfPoint, Table};
+use np_bench::report::{fmt_f64, Table};
 use np_engine::faults::{recovery_times, FaultEvent, FaultPlan};
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
@@ -38,6 +38,7 @@ use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 use np_stats::estimate::Running;
 use np_stats::seeds::SeedSequence;
+use np_sweep::report::{save_bench_json, PerfPoint};
 
 const DELTA: f64 = 0.1;
 const C1: f64 = 8.0;

@@ -23,7 +23,7 @@ use noisy_pull::params::{SfParams, SsfParams};
 use noisy_pull::sf::SourceFilter;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use np_bench::harness::{auto_channel, run_settled, Measured};
-use np_bench::report::{fmt_f64, save_bench_json, PerfPoint, Table};
+use np_bench::report::{fmt_f64, Table};
 use np_engine::population::PopulationConfig;
 use np_engine::runner::{run_batch, suggested_threads};
 use np_engine::topology::{Topology, TopologySpec};
@@ -31,6 +31,7 @@ use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 use np_stats::estimate::Running;
 use np_stats::seeds::SeedSequence;
+use np_sweep::report::{save_bench_json, PerfPoint};
 
 const SF_C1: f64 = 1.0;
 const SSF_C1: f64 = 8.0;

@@ -1,13 +1,13 @@
 //! Experiment harness for the noisy PULL reproduction.
 //!
 //! One binary per figure/claim of the paper lives in `src/bin/` (see the
-//! experiment index in `DESIGN.md` and results in `EXPERIMENTS.md`);
-//! Criterion micro-benchmarks of the hot paths live in `benches/`.
+//! experiment index in `DESIGN.md` and results in `EXPERIMENTS.md`).
 //!
 //! The library part provides what they share:
 //!
 //! * [`report`] — aligned console tables plus CSV output under
-//!   `target/experiments/`.
+//!   `target/experiments/`. The JSON artifacts some binaries write come
+//!   from their records' owners: `np_sweep::report` for `BENCH_*.json`.
 //! * [`harness`] — canonical "run protocol X to consensus and report the
 //!   convergence round" drivers for SF, SSF and the baselines, with
 //!   multi-seed batching.

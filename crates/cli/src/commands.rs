@@ -13,10 +13,10 @@ use np_baselines::mean_estimator::MeanEstimator;
 use np_baselines::push_spreading::{PushSpreading, PushSpreadingParams};
 use np_baselines::trusting_copy::TrustingCopy;
 use np_baselines::voter::ZealotVoter;
-use np_bench::report::{save_trace_jsonl, RunSummary};
 use np_engine::channel::ChannelKind;
 use np_engine::counts::{CountsProtocol, CountsWorld};
 use np_engine::faults::{recovery_times, FaultEvent, FaultPlan};
+use np_engine::metrics::{save_trace_jsonl, RunSummary};
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
 use np_engine::protocol::{AgentRecords, ColumnarProtocol, Protocol};

@@ -189,3 +189,123 @@ fn cluster_rejects_round_engine_flags() {
     let err = run_err(&["cluster", "--transport", "quic"]);
     assert!(err.contains("unknown flag(s): --transport"), "{err}");
 }
+
+/// FNV-1a digest of a file's bytes.
+fn file_digest(path: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let mut d = np_engine::digest::Digest::new();
+    d.update(&bytes);
+    d.value()
+}
+
+/// A fresh scratch directory for one test's artifacts.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("np_cli_{name}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Runs the binary with `--trace`/`--metrics-out` at threads 1 and 4 and
+/// checks both files' digests against `(trace, summary)`; returns the
+/// threads-1 summary text.
+fn assert_artifacts_pinned(name: &str, run: &[&str], pins: (u64, u64)) -> String {
+    let dir = scratch_dir(name);
+    let mut summary = String::new();
+    for threads in ["1", "4"] {
+        let trace = dir.join(format!("t{threads}.jsonl"));
+        let metrics = dir.join(format!("s{threads}.json"));
+        let mut args = run.to_vec();
+        args.extend([
+            "--threads",
+            threads,
+            "--trace",
+            trace.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        run_ok(&args);
+        let got = (file_digest(&trace), file_digest(&metrics));
+        assert_eq!(
+            got, pins,
+            "{name} at {threads} thread(s): (trace, summary) digests"
+        );
+        if threads == "1" {
+            summary = std::fs::read_to_string(&metrics).unwrap();
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    summary
+}
+
+// Trace JSONL and run-summary bytes, pinned through fresh processes at
+// 1 and 4 threads: the artifacts are trajectory data only, so neither the
+// thread count nor a refactor of their writers may change a byte.
+
+#[test]
+fn sf_trace_and_summary_bytes_are_pinned() {
+    assert_artifacts_pinned(
+        "sf_pins",
+        &["run", "sf", "--n", "256", "--seed", "7"],
+        (0x8d58_540e_0186_2429, 0x214b_b91e_9db6_f499),
+    );
+}
+
+#[test]
+fn faulted_ssf_trace_and_summary_bytes_are_pinned() {
+    // Mid-run corruption, a noise ramp and sleep spans draw from the
+    // per-agent streams, so they must not break byte-identity either.
+    let summary = assert_artifacts_pinned(
+        "faulted_pins",
+        &[
+            "run",
+            "ssf",
+            "--n",
+            "128",
+            "--delta",
+            "0.1",
+            "--c1",
+            "8",
+            "--seed",
+            "7",
+            "--budget-intervals",
+            "20",
+            "--fault",
+            "20:all-wrong:0.5",
+            "--fault",
+            "30:ramp:0.15:8",
+            "--fault",
+            "30:sleep:0.25:3",
+        ],
+        (0x3c61_ff47_cdfd_df71, 0x7f55_4b2a_0bfb_c15d),
+    );
+    assert!(
+        summary.contains("\"faults\""),
+        "faulted summary carries no recovery records: {summary}"
+    );
+}
+
+#[test]
+fn sweep_report_bytes_are_pinned() {
+    let dir = scratch_dir("sweep_pin");
+    let spec = dir.join("spec.txt");
+    std::fs::write(
+        &spec,
+        "protocol = sf\nn = 64\ndelta = 0.1\nruns = 3\nseed = 11\n",
+    )
+    .unwrap();
+    let out = dir.join("out");
+    run_ok(&[
+        "sweep",
+        "run",
+        spec.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--checkpoint-every",
+        "4",
+        "--threads",
+        "1",
+    ]);
+    assert_eq!(file_digest(&out.join("report.json")), 0x2400_73a7_9b3d_64a9);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -43,6 +43,8 @@
 //!   re-corruption, source-preference flips (trend changes), noise
 //!   swaps/ramps, and agent sleep, with per-event recovery metrics.
 //! * [`digest`] — the FNV-1a fold behind every run digest.
+//! * [`json`] — the one JSON codec (escaper, `f64` writer, bounded
+//!   reader) behind every trace, summary, manifest and report.
 //! * [`metrics`] — time series of correct-opinion counts, convergence
 //!   records.
 //! * [`runner`] — a scoped-thread multi-seed batch runner with
@@ -161,6 +163,7 @@ pub mod counts;
 pub mod digest;
 pub mod faults;
 pub mod invariants;
+pub mod json;
 pub mod lanes;
 pub mod metrics;
 pub mod opinion;

@@ -1,5 +1,8 @@
-//! Run metrics: convergence outcomes, time series of opinion counts, and
-//! the per-round observer hook ([`RunObserver`] / [`TraceRecorder`]).
+//! Run metrics: convergence outcomes, time series of opinion counts, the
+//! per-round observer hook ([`RunObserver`] / [`TraceRecorder`]), and the
+//! two run artifacts written from them: the per-round JSONL trace
+//! ([`trace_jsonl`]) and the end-of-run summary ([`RunSummary`]), both
+//! encoded through [`crate::json`].
 //!
 //! # Determinism vs. timing
 //!
@@ -8,11 +11,15 @@
 //! the trajectory itself. [`StageTimings`] is *wall-clock* data and
 //! therefore inherently nondeterministic; it is delivered alongside the
 //! metrics but must never be mixed into artifacts that are byte-compared
-//! across runs (the JSONL/summary writers in `np-bench` keep it out).
+//! across runs (the trace and summary writers below keep it out).
 
+use std::path::Path;
 use std::time::Duration;
 
+use crate::faults::FaultRecovery;
+use crate::json;
 use crate::opinion::Opinion;
+use crate::population::PopulationConfig;
 
 /// The outcome of a bounded run: did the system reach consensus on the
 /// correct opinion, and when.
@@ -285,8 +292,8 @@ pub trait RunObserver: Send {
 }
 
 /// The built-in [`RunObserver`]: keeps every round's metrics and the
-/// accumulated phase timings in memory, ready for the trace/summary
-/// writers in `np-bench`.
+/// accumulated phase timings in memory, ready for [`trace_jsonl`] and
+/// [`RunSummary`].
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
     rounds: Vec<RoundMetrics>,
@@ -329,6 +336,200 @@ impl RunObserver for TraceRecorder {
     fn on_round(&mut self, metrics: &RoundMetrics, timings: &StageTimings) {
         self.rounds.push(metrics.clone());
         self.timings.accumulate(timings);
+    }
+}
+
+/// Renders one round's metrics as a single JSON object — one line of the
+/// JSONL trace, without the trailing newline.
+///
+/// Schema (stable field order):
+/// `{"round":…,"correct":…,"margin":…,"stages":[[id,count],…],`
+/// `"weak_formed":…,"weak_correct":…}` — stages sorted by id, empty
+/// stages omitted. Rounds where fault events were injected carry one
+/// extra trailing field, `"faults":["label",…]`; fault-free rounds
+/// render byte-identically to the pre-fault schema.
+pub fn round_json(m: &RoundMetrics) -> String {
+    let stages: Vec<String> = m
+        .stages
+        .iter()
+        .map(|&(id, count)| format!("[{id},{count}]"))
+        .collect();
+    let faults = if m.faults.is_empty() {
+        String::new()
+    } else {
+        let labels: Vec<String> = m.faults.iter().map(|l| json::escape(l)).collect();
+        format!(",\"faults\":[{}]", labels.join(","))
+    };
+    format!(
+        "{{\"round\":{},\"correct\":{},\"margin\":{},\"stages\":[{}],\
+         \"weak_formed\":{},\"weak_correct\":{}{}}}",
+        m.round,
+        m.correct,
+        json::number(m.margin()),
+        stages.join(","),
+        m.weak_formed,
+        m.weak_correct,
+        faults
+    )
+}
+
+/// Renders a recorded trace as JSONL: one [`round_json`] line per round,
+/// each newline-terminated. Trajectory data only, so the bytes are
+/// identical for every thread count.
+pub fn trace_jsonl(rounds: &[RoundMetrics]) -> String {
+    let mut out = String::new();
+    for m in rounds {
+        out.push_str(&round_json(m));
+        out.push('\n');
+    }
+    out
+}
+
+/// Writes a recorded trace to `path` as JSONL, creating parent
+/// directories if needed.
+///
+/// # Errors
+///
+/// Propagates I/O errors from directory creation or the write.
+pub fn save_trace_jsonl(path: &Path, rounds: &[RoundMetrics]) -> std::io::Result<()> {
+    write_creating_dirs(path, &trace_jsonl(rounds))
+}
+
+/// Writes `contents` to `path`, creating its parent directories first.
+fn write_creating_dirs(path: &Path, contents: &str) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    std::fs::write(path, contents)
+}
+
+/// End-of-run summary: the machine-readable counterpart of a CLI run's
+/// console report. Trajectory data only — no thread count, no timings —
+/// so two runs of the same seed produce byte-identical summaries
+/// regardless of parallelism.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSummary {
+    /// Protocol label (e.g. `"sf"`, `"ssf"`).
+    pub protocol: String,
+    /// Population size.
+    pub n: usize,
+    /// Sample size.
+    pub h: usize,
+    /// Sources preferring 0.
+    pub s0: usize,
+    /// Sources preferring 1.
+    pub s1: usize,
+    /// Master seed.
+    pub seed: u64,
+    /// Completed rounds.
+    pub rounds: u64,
+    /// Whether the run ended in correct consensus.
+    pub consensus: bool,
+    /// Agents holding the correct opinion at the end.
+    pub final_correct: usize,
+    /// Final margin over `n/2` (the paper's `A_ℓ`).
+    pub final_margin: f64,
+    /// Agents whose weak opinion had formed at the end.
+    pub weak_formed: usize,
+    /// Of those, how many weak opinions were correct.
+    pub weak_correct: usize,
+    /// Per-event fault recovery results (empty for fault-free runs, in
+    /// which case the JSON rendering is unchanged from the pre-fault
+    /// schema).
+    pub faults: Vec<FaultRecovery>,
+}
+
+impl RunSummary {
+    /// Builds a summary from the run's final [`RoundMetrics`] snapshot.
+    pub fn from_final_metrics(
+        protocol: &str,
+        config: &PopulationConfig,
+        seed: u64,
+        last: &RoundMetrics,
+    ) -> Self {
+        RunSummary {
+            protocol: protocol.to_string(),
+            n: config.n(),
+            h: config.h(),
+            s0: config.s0(),
+            s1: config.s1(),
+            seed,
+            rounds: last.round,
+            consensus: last.correct == last.n,
+            final_correct: last.correct,
+            final_margin: last.margin(),
+            weak_formed: last.weak_formed,
+            weak_correct: last.weak_correct,
+            faults: Vec::new(),
+        }
+    }
+
+    /// Attaches per-event fault recovery results (from
+    /// [`crate::faults::recovery_times`]) to the summary.
+    #[must_use]
+    pub fn with_faults(mut self, faults: Vec<FaultRecovery>) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// Renders the summary as a single pretty-printed JSON object with a
+    /// schema tag, newline-terminated. Runs with fault events gain a
+    /// `"faults"` array of per-event recovery records; fault-free
+    /// summaries render byte-identically to the pre-fault schema.
+    pub fn to_json(&self) -> String {
+        let faults = if self.faults.is_empty() {
+            String::new()
+        } else {
+            let entries: Vec<String> = self
+                .faults
+                .iter()
+                .map(|f| {
+                    format!(
+                        "    {{\"round\": {}, \"label\": {}, \
+                         \"recovered_round\": {}, \"recovery_rounds\": {}}}",
+                        f.round,
+                        json::escape(&f.label),
+                        f.recovered_round
+                            .map_or("null".to_string(), |r| r.to_string()),
+                        f.recovery_rounds()
+                            .map_or("null".to_string(), |r| r.to_string())
+                    )
+                })
+                .collect();
+            format!(",\n  \"faults\": [\n{}\n  ]", entries.join(",\n"))
+        };
+        format!(
+            "{{\n  \"schema\": \"np-run-summary/v1\",\n  \"protocol\": {},\n  \
+             \"n\": {},\n  \"h\": {},\n  \"s0\": {},\n  \"s1\": {},\n  \
+             \"seed\": {},\n  \"rounds\": {},\n  \"consensus\": {},\n  \
+             \"final_correct\": {},\n  \"final_margin\": {},\n  \
+             \"weak_formed\": {},\n  \"weak_correct\": {}{}\n}}\n",
+            json::escape(&self.protocol),
+            self.n,
+            self.h,
+            self.s0,
+            self.s1,
+            self.seed,
+            self.rounds,
+            self.consensus,
+            self.final_correct,
+            json::number(self.final_margin),
+            self.weak_formed,
+            self.weak_correct,
+            faults
+        )
+    }
+
+    /// Writes the JSON rendering to `path`, creating parent directories
+    /// if needed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from directory creation or the write.
+    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        write_creating_dirs(path, &self.to_json())
     }
 }
 
@@ -411,5 +612,138 @@ mod tests {
         assert_eq!(s.margin(0, Opinion::One), -2.0);
         assert_eq!(s.counts(Opinion::One), vec![3, 7]);
         assert_eq!(s.counts(Opinion::Zero), vec![7, 3]);
+    }
+
+    fn metrics() -> RoundMetrics {
+        RoundMetrics {
+            round: 3,
+            n: 8,
+            correct: 5,
+            stages: vec![(0, 7), (u32::MAX, 1)],
+            weak_formed: 6,
+            weak_correct: 4,
+            faults: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn round_json_matches_schema() {
+        assert_eq!(
+            round_json(&metrics()),
+            "{\"round\":3,\"correct\":5,\"margin\":1,\
+             \"stages\":[[0,7],[4294967295,1]],\
+             \"weak_formed\":6,\"weak_correct\":4}"
+        );
+    }
+
+    #[test]
+    fn round_json_appends_fault_labels_only_when_present() {
+        let mut m = metrics();
+        m.faults = vec![
+            "split-brain:4".to_string(),
+            "ramp-noise:0.1->0.3/5".to_string(),
+        ];
+        assert_eq!(
+            round_json(&m),
+            "{\"round\":3,\"correct\":5,\"margin\":1,\
+             \"stages\":[[0,7],[4294967295,1]],\
+             \"weak_formed\":6,\"weak_correct\":4,\
+             \"faults\":[\"split-brain:4\",\"ramp-noise:0.1->0.3/5\"]}"
+        );
+        // Fault-free rounds must keep the pre-fault bytes.
+        assert!(!round_json(&metrics()).contains("faults"));
+    }
+
+    #[test]
+    fn summary_faults_render_and_stay_absent_when_empty() {
+        let config = PopulationConfig::new(8, 1, 2, 4).unwrap();
+        let base = RunSummary::from_final_metrics("ssf", &config, 3, &metrics());
+        assert!(!base.to_json().contains("\"faults\""));
+        let summary = base.with_faults(vec![
+            FaultRecovery {
+                round: 5,
+                label: "flip-sources:1".to_string(),
+                recovered_round: Some(12),
+            },
+            FaultRecovery {
+                round: 20,
+                label: "sleep:3/4r".to_string(),
+                recovered_round: None,
+            },
+        ]);
+        let json = summary.to_json();
+        assert!(json.contains(
+            "{\"round\": 5, \"label\": \"flip-sources:1\", \
+             \"recovered_round\": 12, \"recovery_rounds\": 7}"
+        ));
+        assert!(json.contains(
+            "{\"round\": 20, \"label\": \"sleep:3/4r\", \
+             \"recovered_round\": null, \"recovery_rounds\": null}"
+        ));
+        assert!(json.ends_with("  ]\n}\n"));
+    }
+
+    #[test]
+    fn trace_jsonl_is_one_line_per_round() {
+        let text = trace_jsonl(&[metrics(), metrics()]);
+        assert_eq!(text.lines().count(), 2);
+        assert!(text.ends_with('\n'));
+        for line in text.lines() {
+            assert!(line.starts_with('{') && line.ends_with('}'));
+        }
+        assert!(trace_jsonl(&[]).is_empty());
+    }
+
+    #[test]
+    fn fractional_margin_renders_with_decimal() {
+        let mut m = metrics();
+        m.n = 9;
+        assert!(round_json(&m).contains("\"margin\":0.5"));
+    }
+
+    #[test]
+    fn run_summary_round_trips_fields() {
+        let config = PopulationConfig::new(8, 1, 2, 4).unwrap();
+        let summary = RunSummary::from_final_metrics("sf", &config, 42, &metrics());
+        assert_eq!(summary.n, 8);
+        assert_eq!(summary.h, 4);
+        assert_eq!(summary.s0, 1);
+        assert_eq!(summary.s1, 2);
+        assert!(!summary.consensus);
+        let json = summary.to_json();
+        assert!(json.contains("\"schema\": \"np-run-summary/v1\""));
+        assert!(json.contains("\"protocol\": \"sf\""));
+        assert!(json.contains("\"seed\": 42"));
+        assert!(json.contains("\"consensus\": false"));
+        assert!(json.contains("\"final_margin\": 1"));
+        assert!(json.ends_with("}\n"));
+    }
+
+    #[test]
+    fn summary_reports_consensus_when_all_correct() {
+        let config = PopulationConfig::new(8, 0, 1, 4).unwrap();
+        let mut m = metrics();
+        m.correct = 8;
+        let summary = RunSummary::from_final_metrics("ssf", &config, 1, &m);
+        assert!(summary.consensus);
+        assert!(summary.to_json().contains("\"consensus\": true"));
+    }
+
+    #[test]
+    fn trace_and_summary_files_round_trip() {
+        let dir = std::env::temp_dir().join("np_engine_metrics_json_test");
+        let trace_path = dir.join("t.jsonl");
+        save_trace_jsonl(&trace_path, &[metrics()]).unwrap();
+        let trace = std::fs::read_to_string(&trace_path).unwrap();
+        assert_eq!(trace, round_json(&metrics()) + "\n");
+        let config = PopulationConfig::new(8, 1, 2, 4).unwrap();
+        let summary = RunSummary::from_final_metrics("sf", &config, 7, &metrics());
+        let summary_path = dir.join("s.json");
+        summary.save(&summary_path).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&summary_path).unwrap(),
+            summary.to_json()
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

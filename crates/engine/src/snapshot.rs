@@ -25,7 +25,7 @@
 //! # Encoding
 //!
 //! Hand-rolled little-endian binary, no serde (mirroring the hand-rolled
-//! JSON writers in `np-bench`): integers as fixed-width little-endian
+//! JSON codec in [`crate::json`]): integers as fixed-width little-endian
 //! bytes, `f64` via [`f64::to_bits`] (bit-exact round trips, including
 //! negative zero), strings as a `u64` length followed by UTF-8 bytes.
 //! Encode→decode→encode is byte-equal by construction; the proptest suite

@@ -19,6 +19,8 @@
 //!   and the anti-concentration bounds of Lemmas 21/22.
 //! * [`estimate`] — Welford running statistics, Wilson score intervals,
 //!   and summary statistics (percentiles) for experiment reporting.
+//! * [`digest`] — the FNV-1a fold behind label-keyed seeds and every run
+//!   digest.
 //! * [`hist`] — empirical categorical distributions and total-variation
 //!   distance, used to verify the Theorem 8 reduction empirically.
 //! * [`ks`] — Kolmogorov–Smirnov distances for validating samplers
@@ -66,6 +68,7 @@ mod error;
 pub mod alias;
 pub mod binomial;
 pub mod concentration;
+pub mod digest;
 pub mod estimate;
 pub mod hist;
 pub mod hypergeometric;

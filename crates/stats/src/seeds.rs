@@ -5,6 +5,8 @@
 //! provably full-period, well-mixed output. Runs can then execute on any
 //! number of threads in any order and still be bit-reproducible.
 
+use crate::digest::Digest;
+
 /// A deterministic stream of derived seeds.
 ///
 /// # Example
@@ -61,17 +63,15 @@ impl SeedSequence {
     }
 
     /// Derives a child sequence keyed by a string label (e.g. a sweep job
-    /// id), via an FNV-1a hash of the label bytes fed into [`Self::child`].
+    /// id), via an FNV-1a [`Digest`] of the label bytes fed into
+    /// [`Self::child`].
     ///
     /// The mapping is a pure function of `(master, label)`, so a resumed
     /// sweep re-derives exactly the seeds the interrupted run used.
     pub fn child_of_label(&self, label: &str) -> SeedSequence {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for &byte in label.as_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.child(hash)
+        let mut hash = Digest::new();
+        hash.update(label.as_bytes());
+        self.child(hash.value())
     }
 }
 

@@ -17,6 +17,10 @@
 //!   file where the *latest* record per job wins. It is the single source
 //!   of truth for `--resume`; checkpoints without a manifest record do not
 //!   exist as far as the scheduler is concerned.
+//! * [`report`] — the `np-bench/v1` perf-trajectory document
+//!   ([`report::PerfPoint`], [`report::bench_json`]) that a sweep
+//!   aggregates into and the experiment binaries commit as
+//!   `BENCH_*.json`.
 //! * [`scheduler`] — fans jobs over [`np_engine::runner::scatter`]
 //!   (world-level parallelism complementing the engine's round-level
 //!   chunk parallelism), checkpoints each world every K rounds via
@@ -52,6 +56,7 @@
 use std::fmt;
 
 pub mod manifest;
+pub mod report;
 pub mod scheduler;
 pub mod spec;
 

@@ -11,8 +11,9 @@
 //! suffix it already ran, and (by the engine's byte-identical-continuation
 //! contract) produces the same outcome.
 //!
-//! Encoding is hand-rolled with `np_bench::report`'s JSON writers (fixed
-//! field order, shortest-roundtrip float rendering) so that
+//! Lines are written and read with the workspace's one JSON codec,
+//! [`np_engine::json`] (fixed field order, shortest-roundtrip float
+//! rendering, numbers read back from their raw text) so that
 //! encode→decode→encode is byte-identical — the property the proptest
 //! suite pins down. This file is a *deterministic-bytes* path: wall
 //! clocks and hash-map iteration are banned here, as in every library
@@ -31,7 +32,7 @@
 use std::io::Write;
 use std::path::Path;
 
-use np_bench::report::{json_f64, json_string};
+use np_engine::json::{self, Json};
 
 use crate::SweepError;
 
@@ -121,21 +122,21 @@ impl JobRecord {
             "{{\"schema\":{},\"job\":{},\"protocol\":{},\"n\":{},\"h\":{},\
              \"s0\":{},\"s1\":{},\"delta\":{},\"c1\":{},\"seed\":{},\"budget\":{},\
              \"status\":{},\"checkpoint\":{},\"round\":{},\"consensus\":{},\"correct\":{}}}",
-            json_string(MANIFEST_SCHEMA),
-            json_string(&self.job),
-            json_string(&self.protocol),
+            json::escape(MANIFEST_SCHEMA),
+            json::escape(&self.job),
+            json::escape(&self.protocol),
             self.n,
             self.h,
             self.s0,
             self.s1,
-            json_f64(self.delta),
-            json_f64(self.c1),
+            json::number(self.delta),
+            json::number(self.c1),
             self.seed,
             self.budget,
-            json_string(self.status.name()),
+            json::escape(self.status.name()),
             self.checkpoint
                 .as_deref()
-                .map_or("null".to_string(), json_string),
+                .map_or("null".to_string(), json::escape),
             self.round,
             self.consensus,
             self.correct
@@ -149,12 +150,19 @@ impl JobRecord {
     /// Returns [`SweepError`] for malformed JSON, a wrong schema tag, or
     /// missing/mistyped fields.
     pub fn parse(line: &str) -> Result<Self, SweepError> {
-        let fields = parse_object(line)?;
+        let malformed = |offset: usize, reason: &str| {
+            SweepError(format!(
+                "malformed manifest JSON at byte {offset}: {reason}"
+            ))
+        };
+        // A record is an object: say so for any line that does not open one.
+        let body = line.trim_start();
+        if !body.starts_with('{') {
+            return Err(malformed(line.len() - body.len(), "expected `{`"));
+        }
+        let doc = json::parse(line).map_err(|e| malformed(e.offset, e.reason))?;
         let get = |name: &str| -> Result<&Json, SweepError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
+            doc.get(name)
                 .ok_or_else(|| SweepError(format!("manifest record is missing `{name}`")))
         };
         let string = |name: &str| -> Result<String, SweepError> {
@@ -269,173 +277,6 @@ pub fn load_manifest(path: &Path) -> Result<Vec<JobRecord>, SweepError> {
 /// append-only journal semantics.
 pub fn latest<'a>(records: &'a [JobRecord], job: &str) -> Option<&'a JobRecord> {
     records.iter().rev().find(|r| r.job == job)
-}
-
-/// A decoded JSON scalar. Numbers keep their raw text so `u64` values
-/// beyond 2⁵³ (seeds!) survive decoding exactly.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    Num(String),
-    Bool(bool),
-    Null,
-}
-
-/// Parses a flat JSON object of scalar fields into `(key, value)` pairs
-/// in source order. (Deliberately minimal: exactly the grammar
-/// [`JobRecord::to_json_line`] emits — no nesting, no arrays.)
-fn parse_object(line: &str) -> Result<Vec<(String, Json)>, SweepError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        i: 0,
-    };
-    let fields = p.object()?;
-    p.skip_ws();
-    if p.i != p.bytes.len() {
-        return Err(SweepError("trailing bytes after JSON object".into()));
-    }
-    Ok(fields)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn bad(&self, why: &str) -> SweepError {
-        SweepError(format!("malformed manifest JSON at byte {}: {why}", self.i))
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.i)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> Result<(), SweepError> {
-        self.skip_ws();
-        if self.bytes.get(self.i) == Some(&byte) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.bad(&format!("expected `{}`", byte as char)))
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, Json)>, SweepError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(fields);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.bytes.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(fields);
-                }
-                _ => return Err(self.bad("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, SweepError> {
-        self.skip_ws();
-        match self.bytes.get(self.i) {
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Json::Bool(true)),
-            Some(b'f') => self.keyword("false", Json::Bool(false)),
-            Some(b'n') => self.keyword("null", Json::Null),
-            Some(b) if b.is_ascii_digit() || *b == b'-' => {
-                let start = self.i;
-                while self.bytes.get(self.i).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.i += 1;
-                }
-                Ok(Json::Num(self.span_str(start, self.i)?.to_string()))
-            }
-            _ => Err(self.bad("expected a value")),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: Json) -> Result<Json, SweepError> {
-        let rest = self.bytes.get(self.i..).unwrap_or_default();
-        if rest.starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(value)
-        } else {
-            Err(self.bad(&format!("expected `{word}`")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, SweepError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        // Collect raw spans between escapes so multi-byte UTF-8 passes
-        // through untouched.
-        let mut span = self.i;
-        loop {
-            match self.bytes.get(self.i) {
-                None => return Err(self.bad("unterminated string")),
-                Some(b'"') => {
-                    out.push_str(self.span_str(span, self.i)?);
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    out.push_str(self.span_str(span, self.i)?);
-                    self.i += 1;
-                    let c = match self.bytes.get(self.i) {
-                        Some(b'"') => '"',
-                        Some(b'\\') => '\\',
-                        Some(b'n') => '\n',
-                        Some(b'r') => '\r',
-                        Some(b't') => '\t',
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or_else(|| self.bad("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.bad("non-UTF-8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.bad("bad \\u escape"))?;
-                            self.i += 4;
-                            char::from_u32(code).ok_or_else(|| self.bad("bad \\u code point"))?
-                        }
-                        _ => return Err(self.bad("unknown escape")),
-                    };
-                    out.push(c);
-                    self.i += 1;
-                    span = self.i;
-                }
-                Some(_) => self.i += 1,
-            }
-        }
-    }
-
-    fn span_str(&self, start: usize, end: usize) -> Result<&str, SweepError> {
-        let span = self
-            .bytes
-            .get(start..end)
-            .ok_or_else(|| self.bad("span out of range"))?;
-        std::str::from_utf8(span).map_err(|_| SweepError("manifest line is not UTF-8".into()))
-    }
 }
 
 #[cfg(test)]

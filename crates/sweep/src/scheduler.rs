@@ -31,7 +31,6 @@ use noisy_pull::params::{SfParams, SsfParams};
 use noisy_pull::sf::SourceFilter;
 use noisy_pull::sf_alternating::AlternatingSourceFilter;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
-use np_bench::report::{bench_json, PerfPoint};
 use np_engine::channel::ChannelKind;
 use np_engine::counts::{CountsProtocol, CountsWorld};
 use np_engine::population::PopulationConfig;
@@ -42,6 +41,7 @@ use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 
 use crate::manifest::{append_record, latest, load_manifest, JobRecord, JobStatus};
+use crate::report::{bench_json, PerfPoint};
 use crate::spec::{BackendKind, JobSpec, ProtocolKind, SweepSpec};
 use crate::{err, SweepError};
 

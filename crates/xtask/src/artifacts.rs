@@ -5,15 +5,17 @@
 //! the writer fixes it, type checks, enum domains — plus the cross-field
 //! invariants a schema alone cannot say (`converged == 0` ⟺
 //! `mean_rounds == null`, a `checkpointed` record carries a checkpoint
-//! path, report entries are sorted). Anything the hand-rolled writers in `np_bench::report` and
-//! `np_sweep::manifest` cannot emit is an error here.
+//! path, report entries are sorted). Anything the writers in
+//! `np_engine::metrics`, `np_sweep::report` and `np_sweep::manifest`
+//! cannot emit is an error here. Files are read with the same codec they
+//! are written with, [`np_engine::json`].
 //!
 //! Supported schemas: `np-bench/v1`, `np-run-summary/v1`,
 //! `np-manifest/v1` (JSONL).
 
 use std::path::{Path, PathBuf};
 
-use crate::json::{self, Json};
+use np_engine::json::{self, Json};
 
 /// Keys of an np-bench/v1 document, in writer order.
 const BENCH_KEYS: &[&str] = &["schema", "bench", "points"];
@@ -842,5 +844,18 @@ mod tests {
         assert!(errs[0].contains("unknown artifact schema"), "{errs:?}");
         let errs = validate_text("[1,2,3]").expect_err("no tag");
         assert!(errs[0].contains("no schema tag"), "{errs:?}");
+    }
+
+    #[test]
+    fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
+        // ~1 MB of `[` once aborted check-artifacts with a stack overflow.
+        for unit in ["[", "{\"a\":"] {
+            let text = unit.repeat((1 << 20) / unit.len());
+            let errs = validate_text(&text).expect_err("nested junk");
+            assert!(errs[0].contains("no schema tag"), "{errs:?}");
+            assert!(validate_bench(&text).is_err());
+            assert!(validate_run_summary(&text).is_err());
+            assert!(validate_manifest(&text).is_err());
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! It holds what rustc and clippy cannot check: [`artifacts`] validates
 //! the committed `BENCH_*.json` files (and any `np-run-summary/v1` or
 //! `np-manifest/v1` artifact) against their schemas, reading them with
-//! the zero-dependency [`json`] parser. Run it as
+//! the workspace's one JSON reader, [`np_engine::json`]. Run it as
 //! `cargo xtask check-artifacts`.
 //!
 //! The determinism rules the paper's seeded guarantees (Theorems 4 and 5)
@@ -17,4 +17,3 @@
 #![warn(missing_docs)]
 
 pub mod artifacts;
-pub mod json;

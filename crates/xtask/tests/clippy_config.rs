@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use xtask::json::{self, Json};
+use np_engine::json::{self, Json};
 
 /// `(file, line, lint)` of one diagnostic, the file relative to the
 /// fixture root.

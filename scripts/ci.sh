@@ -63,54 +63,21 @@ cargo test --release -q -p np-baselines --test mean_field_crossval
 
 # Outcome digests are pinned by tests/golden_trajectories.rs, which the
 # tier-1 passes above run: `run sf --n 256 --seed 7` on the complete
-# graph and on ring:4 and the faulted SSF run below, each at 1 and 4
-# threads, and both n = 64 sim-cluster runs (the partition/heal one is
-# the smoke step at the end).
+# graph and on ring:4 and a faulted SSF run, each at 1 and 4 threads, and
+# both n = 64 sim-cluster runs (the partition/heal one is the smoke step
+# at the end).
 
-# Cross-thread-count trace diff: the observability artifacts (per-round
-# JSONL trace + end-of-run summary JSON) are pure trajectory data, so the
-# same fixed-seed run must write byte-identical files at 1 and 4 worker
-# threads. (Stage wall-clock timings go to stdout only, never into the
-# files — that is what keeps this diff meaningful.)
-echo "### thread-count trace diff (1 vs 4 threads)"
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
-traced_run() {
-  cargo run -q --release -p np-cli -- \
-    run sf --n 256 --seed 7 --threads "$1" \
-    --trace "$trace_dir/t$1.jsonl" --metrics-out "$trace_dir/s$1.json" \
-    > /dev/null
-}
-traced_run 1
-traced_run 4
-diff "$trace_dir/t1.jsonl" "$trace_dir/t4.jsonl"
-diff "$trace_dir/s1.json" "$trace_dir/s4.json"
-echo "traces agree: $(wc -l < "$trace_dir/t1.jsonl") rounds"
-
-# Same diff under a nontrivial fault plan: fault randomness is drawn from
-# the per-agent streams, so mid-run corruption, a noise ramp and sleep
-# spans must not break the byte-identity of the artifacts either.
-echo "### thread-count faulted-trace diff (1 vs 4 threads)"
-faulted_run() {
-  cargo run -q --release -p np-cli -- \
-    run ssf --n 128 --delta 0.1 --c1 8 --seed 7 --threads "$1" \
-    --budget-intervals 20 \
-    --fault 20:all-wrong:0.5 --fault 30:ramp:0.15:8 --fault 30:sleep:0.25:3 \
-    --trace "$trace_dir/ft$1.jsonl" --metrics-out "$trace_dir/fs$1.json" \
-    > /dev/null
-}
-faulted_run 1
-faulted_run 4
-diff "$trace_dir/ft1.jsonl" "$trace_dir/ft4.jsonl"
-diff "$trace_dir/fs1.json" "$trace_dir/fs4.json"
-grep -q '"faults"' "$trace_dir/fs1.json" \
-  || { echo "faulted summary carries no recovery records" >&2; exit 1; }
-echo "faulted traces agree: $(wc -l < "$trace_dir/ft1.jsonl") rounds"
+# Trace and run-summary bytes are pinned through the binary, at 1 and 4
+# threads, by crates/cli/tests/cli.rs (`run sf --n 256 --seed 7` and the
+# faulted SSF run, whose summary must carry recovery records), which the
+# workspace test pass above runs.
 
 # Snapshot continuation diff: a run checkpointed mid-flight and restored
 # in a fresh process (at a different thread count) must write the same
 # per-round trace as the uninterrupted run.
 echo "### snapshot restore diff (straight @1 thread vs restored @4 threads)"
+trace_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir"' EXIT
 cargo run -q --release -p np-cli -- \
   run sf --n 256 --seed 7 --threads 1 \
   --trace "$trace_dir/straight.jsonl" \

@@ -8,7 +8,7 @@
 //! serialization.
 
 use noisy_pull_repro::prelude::*;
-use np_bench::report::{round_json, trace_jsonl, RunSummary};
+use np_engine::metrics::{round_json, trace_jsonl, RunSummary};
 
 const THREADS: [usize; 3] = [1, 2, 7];
 

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use noisy_pull_repro::baselines::majority::HMajority;
 use noisy_pull_repro::prelude::*;
-use np_bench::report::{trace_jsonl, RunSummary};
+use np_engine::metrics::{trace_jsonl, RunSummary};
 use np_engine::snapshot::SnapshotState;
 use np_engine::streams::StreamRng;
 

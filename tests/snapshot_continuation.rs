@@ -12,7 +12,7 @@
 
 use noisy_pull_repro::engine::snapshot::SnapshotState;
 use noisy_pull_repro::prelude::*;
-use np_bench::report::{trace_jsonl, RunSummary};
+use np_engine::metrics::{trace_jsonl, RunSummary};
 
 const THREADS: [usize; 3] = [1, 2, 7];
 
