@@ -60,3 +60,29 @@ pub mod mean_estimator;
 pub mod push_spreading;
 pub mod trusting_copy;
 pub mod voter;
+
+/// A baseline parameter outside the range its protocol is defined for,
+/// returned by [`push_spreading::PushSpreadingParams::derive`] and
+/// [`mean_estimator::MeanEstimator::new`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParamError {
+    /// What is wrong, e.g. `delta 0.5 outside [0, 0.5)`.
+    pub detail: String,
+}
+
+impl std::fmt::Display for ParamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "bad baseline parameter: {}", self.detail)
+    }
+}
+
+impl std::error::Error for ParamError {}
+
+/// Fails with `detail` unless `ok`.
+fn require(ok: bool, detail: impl FnOnce() -> String) -> Result<(), ParamError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ParamError { detail: detail() })
+    }
+}

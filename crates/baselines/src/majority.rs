@@ -31,7 +31,7 @@ use rand::Rng;
 ///
 /// ```
 /// use np_baselines::majority::HMajority;
-/// use np_engine::{channel::ChannelKind, population::PopulationConfig, world::World};
+/// use np_engine::{channel::ChannelKind, population::PopulationConfig, run::Run, world::World};
 /// use np_linalg::noise::NoiseMatrix;
 ///
 /// let config = PopulationConfig::new(64, 0, 1, 64)?;
@@ -267,6 +267,7 @@ mod tests {
     use np_engine::channel::ChannelKind;
     use np_engine::counts::CountsWorld;
     use np_engine::population::PopulationConfig;
+    use np_engine::run::Run;
     use np_engine::world::World;
     use np_linalg::noise::NoiseMatrix;
     use rand::SeedableRng;

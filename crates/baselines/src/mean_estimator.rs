@@ -13,6 +13,7 @@
 //! exactly, leaving the source signal as the *only* systematic bias; this
 //! protocol shows what happens without that cancellation.
 
+use crate::{require, ParamError};
 use np_engine::opinion::Opinion;
 use np_engine::population::Role;
 use np_engine::protocol::{AgentState, Protocol, ScalarLayout};
@@ -25,12 +26,12 @@ use rand::Rng;
 ///
 /// ```
 /// use np_baselines::mean_estimator::MeanEstimator;
-/// use np_engine::{channel::ChannelKind, population::PopulationConfig, world::World};
+/// use np_engine::{channel::ChannelKind, population::PopulationConfig, run::Run, world::World};
 /// use np_linalg::noise::NoiseMatrix;
 ///
 /// let config = PopulationConfig::new(64, 0, 1, 64)?;
 /// let noise = NoiseMatrix::uniform(2, 0.1)?;
-/// let proto = MeanEstimator::new(0.1);
+/// let proto = MeanEstimator::new(0.1)?;
 /// let mut world = World::new(&proto, config, &noise, ChannelKind::Aggregated, 1)?;
 /// world.run(100); // runs; reliable consensus is *not* expected
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -44,15 +45,14 @@ impl MeanEstimator {
     /// Creates the protocol; `delta` is the (known) uniform noise level
     /// used for debiasing.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless `0 ≤ δ < ½`.
-    pub fn new(delta: f64) -> Self {
-        assert!(
-            (0.0..0.5).contains(&delta),
-            "delta {delta} outside [0, 0.5)"
-        );
-        MeanEstimator { delta }
+    /// Returns [`ParamError`] unless `0 ≤ δ < ½`.
+    pub fn new(delta: f64) -> Result<Self, ParamError> {
+        require((0.0..0.5).contains(&delta), || {
+            format!("delta {delta} outside [0, 0.5)")
+        })?;
+        Ok(MeanEstimator { delta })
     }
 
     /// The noise level used for debiasing.
@@ -137,20 +137,21 @@ mod tests {
     use super::*;
     use np_engine::channel::ChannelKind;
     use np_engine::population::PopulationConfig;
+    use np_engine::run::Run;
     use np_engine::world::World;
     use np_linalg::noise::NoiseMatrix;
     use rand::SeedableRng;
 
     #[test]
-    #[should_panic(expected = "outside [0, 0.5)")]
     fn rejects_bad_delta() {
-        let _ = MeanEstimator::new(0.5);
+        let e = MeanEstimator::new(0.5).unwrap_err();
+        assert!(e.to_string().contains("outside [0, 0.5)"), "{e}");
     }
 
     #[test]
     fn estimate_debiases_noise() {
         let mut rng = StreamRng::seed_from_u64(0);
-        let proto = MeanEstimator::new(0.2);
+        let proto = MeanEstimator::new(0.2).unwrap();
         let mut agent = proto.init_agent(Role::NonSource, &mut rng);
         assert_eq!(agent.estimate(), None);
         // Observed fraction 0.2 equals the noise floor of an all-zero
@@ -164,7 +165,7 @@ mod tests {
     #[test]
     fn opinion_follows_estimate() {
         let mut rng = StreamRng::seed_from_u64(1);
-        let proto = MeanEstimator::new(0.0);
+        let proto = MeanEstimator::new(0.0).unwrap();
         let mut agent = proto.init_agent(Role::NonSource, &mut rng);
         agent.update(&[1, 9], &mut rng);
         assert_eq!(agent.opinion(), Opinion::One);
@@ -176,7 +177,7 @@ mod tests {
     #[test]
     fn sources_keep_preference() {
         let mut rng = StreamRng::seed_from_u64(2);
-        let proto = MeanEstimator::new(0.1);
+        let proto = MeanEstimator::new(0.1).unwrap();
         let mut agent = proto.init_agent(Role::Source(Opinion::One), &mut rng);
         agent.update(&[100, 0], &mut rng);
         assert_eq!(agent.opinion(), Opinion::One);
@@ -192,7 +193,7 @@ mod tests {
         for seed in 0..8 {
             let config = PopulationConfig::new(256, 0, 1, 256).unwrap();
             let noise = NoiseMatrix::uniform(2, 0.2).unwrap();
-            let proto = MeanEstimator::new(0.2);
+            let proto = MeanEstimator::new(0.2).unwrap();
             let mut world =
                 World::new(&proto, config, &noise, ChannelKind::Aggregated, seed).unwrap();
             if world.run_until_consensus(300).converged() {

@@ -24,6 +24,7 @@
 //! Total time: `S·R + B·F = O(polylog n)` for constant noise — versus
 //! `Θ(n log n)` for PULL(1).
 
+use crate::{require, ParamError};
 use np_engine::opinion::Opinion;
 use np_engine::population::Role;
 use np_engine::push::{PushAgentState, PushProtocol};
@@ -51,16 +52,15 @@ impl PushSpreadingParams {
     /// `F = ⌈(100/(1−2δ)²)/h⌉`, `B = ⌈10·ln n⌉` — the correction stage
     /// mirrors SF's boosting constants.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless `n ≥ 2`, `h ≥ 1` and `0 ≤ δ < ½`.
-    pub fn derive(n: usize, h: usize, delta: f64) -> Self {
-        assert!(n >= 2, "need at least two agents");
-        assert!(h >= 1, "fan-out must be positive");
-        assert!(
-            (0.0..0.5).contains(&delta),
-            "delta {delta} outside [0, 0.5)"
-        );
+    /// Returns [`ParamError`] unless `n ≥ 2`, `h ≥ 1` and `0 ≤ δ < ½`.
+    pub fn derive(n: usize, h: usize, delta: f64) -> Result<Self, ParamError> {
+        require(n >= 2, || "need at least two agents".into())?;
+        require(h >= 1, || "fan-out must be positive".into())?;
+        require((0.0..0.5).contains(&delta), || {
+            format!("delta {delta} outside [0, 0.5)")
+        })?;
         let ln_n = (n as f64).ln().max(1.0);
         let receipt_window = (2.0 * ln_n).ceil() as u64;
         let growth = (1.0 + h as f64 * receipt_window as f64).ln();
@@ -69,12 +69,12 @@ impl PushSpreadingParams {
         let w = (100.0 / (gap * gap)).ceil();
         let correction_window = (w / h as f64).ceil() as u64;
         let correction_subphases = (10.0 * ln_n).ceil() as u64;
-        PushSpreadingParams {
+        Ok(PushSpreadingParams {
             receipt_window,
             spreading_phases,
             correction_window,
             correction_subphases,
-        }
+        })
     }
 
     /// Total schedule length in rounds.
@@ -95,11 +95,11 @@ impl PushSpreadingParams {
 ///
 /// ```
 /// use np_baselines::push_spreading::{PushSpreading, PushSpreadingParams};
-/// use np_engine::{population::PopulationConfig, push::PushWorld};
+/// use np_engine::{population::PopulationConfig, push::PushWorld, run::Run};
 /// use np_linalg::noise::NoiseMatrix;
 ///
 /// let n = 256;
-/// let params = PushSpreadingParams::derive(n, 1, 0.1);
+/// let params = PushSpreadingParams::derive(n, 1, 0.1)?;
 /// let config = PopulationConfig::new(n, 0, 1, 1)?; // single source, h = 1!
 /// let noise = NoiseMatrix::uniform(2, 0.1)?;
 /// let mut world = PushWorld::new(&PushSpreading::new(params), config, &noise, 5)?;
@@ -241,12 +241,13 @@ mod tests {
     use super::*;
     use np_engine::population::PopulationConfig;
     use np_engine::push::PushWorld;
+    use np_engine::run::Run;
     use np_linalg::noise::NoiseMatrix;
     use rand::SeedableRng;
 
     #[test]
     fn params_shape() {
-        let p = PushSpreadingParams::derive(1024, 1, 0.1);
+        let p = PushSpreadingParams::derive(1024, 1, 0.1).unwrap();
         assert!(p.receipt_window >= 14); // 2 ln 1024 ≈ 13.9
         assert!(p.spreading_phases >= 3);
         assert!(p.correction_subphases >= 69);
@@ -255,19 +256,19 @@ mod tests {
             p.spreading_rounds() + p.correction_subphases * p.correction_window
         );
         // Larger h shrinks the correction window.
-        let p8 = PushSpreadingParams::derive(1024, 8, 0.1);
+        let p8 = PushSpreadingParams::derive(1024, 8, 0.1).unwrap();
         assert!(p8.correction_window < p.correction_window);
     }
 
     #[test]
-    #[should_panic(expected = "outside [0, 0.5)")]
     fn params_reject_bad_delta() {
-        let _ = PushSpreadingParams::derive(64, 1, 0.5);
+        let e = PushSpreadingParams::derive(64, 1, 0.5).unwrap_err();
+        assert!(e.to_string().contains("outside [0, 0.5)"), "{e}");
     }
 
     #[test]
     fn uninformed_agents_stay_silent_in_spreading() {
-        let params = PushSpreadingParams::derive(64, 1, 0.1);
+        let params = PushSpreadingParams::derive(64, 1, 0.1).unwrap();
         let proto = PushSpreading::new(params);
         let mut rng = StreamRng::seed_from_u64(0);
         let non = proto.init_agent(Role::NonSource, &mut rng);
@@ -280,7 +281,7 @@ mod tests {
 
     #[test]
     fn adoption_happens_at_phase_boundary() {
-        let params = PushSpreadingParams::derive(64, 1, 0.1);
+        let params = PushSpreadingParams::derive(64, 1, 0.1).unwrap();
         let proto = PushSpreading::new(params);
         let mut rng = StreamRng::seed_from_u64(1);
         let mut agent = proto.init_agent(Role::NonSource, &mut rng);
@@ -299,7 +300,7 @@ mod tests {
     #[test]
     fn spreads_at_h_1_under_noise_in_polylog_time() {
         let n = 256;
-        let params = PushSpreadingParams::derive(n, 1, 0.1);
+        let params = PushSpreadingParams::derive(n, 1, 0.1).unwrap();
         let config = PopulationConfig::new(n, 0, 1, 1).unwrap();
         let noise = NoiseMatrix::uniform(2, 0.1).unwrap();
         let mut world = PushWorld::new(&PushSpreading::new(params), config, &noise, 7).unwrap();
@@ -320,7 +321,7 @@ mod tests {
     #[test]
     fn spreads_opinion_zero_too() {
         let n = 256;
-        let params = PushSpreadingParams::derive(n, 2, 0.1);
+        let params = PushSpreadingParams::derive(n, 2, 0.1).unwrap();
         let config = PopulationConfig::new(n, 1, 0, 2).unwrap();
         let noise = NoiseMatrix::uniform(2, 0.1).unwrap();
         let mut world = PushWorld::new(&PushSpreading::new(params), config, &noise, 9).unwrap();

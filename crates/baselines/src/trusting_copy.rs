@@ -29,7 +29,7 @@ use rand::Rng;
 ///
 /// ```
 /// use np_baselines::trusting_copy::TrustingCopy;
-/// use np_engine::{channel::ChannelKind, population::PopulationConfig, world::World};
+/// use np_engine::{channel::ChannelKind, population::PopulationConfig, run::Run, world::World};
 /// use np_linalg::noise::NoiseMatrix;
 ///
 /// // Noiseless: classic rumor spreading, logarithmic convergence.
@@ -117,6 +117,7 @@ mod tests {
     use super::*;
     use np_engine::channel::ChannelKind;
     use np_engine::population::PopulationConfig;
+    use np_engine::run::Run;
     use np_engine::world::World;
     use np_linalg::noise::NoiseMatrix;
     use rand::SeedableRng;

@@ -23,7 +23,7 @@ use rand::Rng;
 ///
 /// ```
 /// use np_baselines::voter::ZealotVoter;
-/// use np_engine::{channel::ChannelKind, population::PopulationConfig, world::World};
+/// use np_engine::{channel::ChannelKind, population::PopulationConfig, run::Run, world::World};
 /// use np_linalg::noise::NoiseMatrix;
 ///
 /// let config = PopulationConfig::new(64, 0, 16, 4)?;
@@ -98,6 +98,7 @@ mod tests {
     use super::*;
     use np_engine::channel::ChannelKind;
     use np_engine::population::PopulationConfig;
+    use np_engine::run::Run;
     use np_engine::world::World;
     use np_linalg::noise::NoiseMatrix;
     use rand::SeedableRng;

@@ -13,8 +13,8 @@
 use np_baselines::majority::HMajority;
 use np_engine::channel::ChannelKind;
 use np_engine::counts::CountsWorld;
-use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
+use np_engine::run::Run;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 use np_stats::ks::ks2_p_value;
@@ -32,12 +32,16 @@ fn setup() -> (PopulationConfig, NoiseMatrix) {
     (config, noise)
 }
 
-/// Correct-opinion counts per round plus the first all-correct round
-/// (budget + 1 when never reached).
-fn stats_from_counts(correct: &[usize], n: usize) -> Vec<f64> {
+/// Runs `world` (either backend) for [`ROUNDS`] rounds; returns the
+/// correct-opinion counts at rounds 1, 2 and 4 plus the first all-correct
+/// round (budget + 1 when never reached).
+fn stats(mut world: impl Run) -> Vec<f64> {
+    world.record_trace();
+    world.run(ROUNDS);
+    let correct: Vec<usize> = world.traced_rounds().iter().map(|m| m.correct).collect();
     let settle = correct
         .iter()
-        .position(|&c| c == n)
+        .position(|&c| c == world.n())
         .map_or(correct.len() as f64 + 1.0, |idx| idx as f64 + 1.0);
     vec![
         correct[0] as f64,
@@ -49,29 +53,12 @@ fn stats_from_counts(correct: &[usize], n: usize) -> Vec<f64> {
 
 fn per_agent_exact(seed: u64) -> Vec<f64> {
     let (config, noise) = setup();
-    let n = config.n();
-    let mut world =
-        World::new(&HMajority, config, &noise, ChannelKind::Exact, seed).expect("valid world");
-    world.record_series();
-    world.run(ROUNDS);
-    let correct = world
-        .series()
-        .expect("series recorded")
-        .counts(Opinion::One);
-    stats_from_counts(&correct, n)
+    stats(World::new(&HMajority, config, &noise, ChannelKind::Exact, seed).expect("valid world"))
 }
 
 fn mean_field(seed: u64) -> Vec<f64> {
     let (config, noise) = setup();
-    let n = config.n();
-    let mut world = CountsWorld::new(&HMajority, config, &noise, seed).expect("valid world");
-    world.record_series();
-    world.run(ROUNDS);
-    let correct = world
-        .series()
-        .expect("series recorded")
-        .counts(Opinion::One);
-    stats_from_counts(&correct, n)
+    stats(CountsWorld::new(&HMajority, config, &noise, seed).expect("valid world"))
 }
 
 #[test]

@@ -11,6 +11,7 @@
 
 use np_bench::harness::{summarize, SfSetup, SsfSetup};
 use np_bench::report::{fmt_f64, Table};
+use np_engine::run::Run;
 
 fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();

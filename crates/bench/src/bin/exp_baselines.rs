@@ -115,7 +115,7 @@ fn main() {
 
         // Mean estimator (δ = 0.15).
         let me = run_protocol(
-            &MeanEstimator::new(delta2),
+            &MeanEstimator::new(delta2).expect("delta2 < 1/2"),
             config2,
             delta2,
             budget,

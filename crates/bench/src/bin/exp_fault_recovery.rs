@@ -32,6 +32,7 @@ use np_engine::faults::{recovery_times, FaultEvent, FaultPlan};
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
 use np_engine::protocol::AgentRecords;
+use np_engine::run::Run;
 use np_engine::runner::{run_batch, suggested_threads};
 use np_engine::streams::StreamRng;
 use np_engine::world::World;

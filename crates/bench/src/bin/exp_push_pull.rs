@@ -12,7 +12,7 @@
 //! column (it is reported for completeness).
 
 use np_baselines::push_spreading::{PushSpreading, PushSpreadingParams};
-use np_bench::harness::{summarize, SfSetup};
+use np_bench::harness::{run_settled, summarize, Measured, SfSetup};
 use np_bench::report::{fmt_f64, Table};
 use np_engine::population::PopulationConfig;
 use np_engine::push::PushWorld;
@@ -20,35 +20,21 @@ use np_engine::runner::{run_batch, suggested_threads};
 use np_linalg::noise::NoiseMatrix;
 use np_stats::seeds::SeedSequence;
 
-fn push_success_and_settle(n: usize, delta: f64, runs: usize, master: u64) -> (f64, f64) {
-    let params = PushSpreadingParams::derive(n, 1, delta);
+/// Runs PushSpreading at `h = 1` for its full schedule, `runs` seeds.
+fn push_measured(n: usize, delta: f64, runs: usize, master: u64) -> Vec<Measured> {
+    let params = PushSpreadingParams::derive(n, 1, delta).expect("grid");
     let config = PopulationConfig::new(n, 0, 1, 1).expect("grid");
     let noise = NoiseMatrix::uniform(2, delta).expect("grid");
-    let results = run_batch(
+    run_batch(
         SeedSequence::new(master),
         runs,
         suggested_threads(),
         move |seed| {
             let mut world = PushWorld::new(&PushSpreading::new(params), config, &noise, seed)
                 .expect("alphabets match");
-            let mut last_bad = 0u64;
-            for r in 1..=params.total_rounds() {
-                world.step();
-                if !world.is_consensus() {
-                    last_bad = r;
-                }
-            }
-            world.is_consensus().then_some(last_bad + 1)
+            run_settled(&mut world, params.total_rounds())
         },
-    );
-    let settled: Vec<f64> = results.iter().filter_map(|r| r.map(|x| x as f64)).collect();
-    let rate = settled.len() as f64 / results.len() as f64;
-    let mean = if settled.is_empty() {
-        f64::NAN
-    } else {
-        settled.iter().sum::<f64>() / settled.len() as f64
-    };
-    (rate, mean)
+    )
 }
 
 fn main() {
@@ -94,9 +80,11 @@ fn main() {
         let pull_settle = pull_summary.map(|s| s.mean()).unwrap_or(f64::NAN);
 
         // PUSH side.
-        let push_params = PushSpreadingParams::derive(n, 1, delta);
+        let push_params = PushSpreadingParams::derive(n, 1, delta).expect("grid");
         let push_dissem = push_params.spreading_rounds();
-        let (push_rate, push_settle) = push_success_and_settle(n, delta, runs, 0x9054 ^ n as u64);
+        let (push_rate, push_summary) =
+            summarize(&push_measured(n, delta, runs, 0x9054 ^ n as u64));
+        let push_settle = push_summary.map(|s| s.mean()).unwrap_or(f64::NAN);
 
         table.push_row(&[
             &n,

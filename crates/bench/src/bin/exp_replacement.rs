@@ -19,6 +19,7 @@ use np_bench::report::{fmt_f64, Table};
 use np_engine::channel::{Channel, ChannelKind, SamplingMode};
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
+use np_engine::run::Run;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 

@@ -23,6 +23,7 @@ use np_engine::channel::ChannelKind;
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
 use np_engine::protocol::ColumnarProtocol;
+use np_engine::run::Run;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 

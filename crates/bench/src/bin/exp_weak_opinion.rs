@@ -17,6 +17,7 @@ use np_bench::report::{fmt_f64, Table};
 use np_engine::channel::ChannelKind;
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
+use np_engine::run::Run;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 use np_stats::estimate::wilson_interval;

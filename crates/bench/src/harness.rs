@@ -12,7 +12,7 @@ use noisy_pull::sf::SourceFilter;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use np_engine::channel::ChannelKind;
 use np_engine::population::PopulationConfig;
-use np_engine::protocol::ColumnarProtocol;
+use np_engine::run::Run;
 use np_engine::runner::{run_batch, suggested_threads};
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
@@ -46,18 +46,10 @@ pub fn auto_channel(h: usize) -> ChannelKind {
     }
 }
 
-/// Steps `world` for `budget` rounds and reports the settle round.
-pub fn run_settled<P: ColumnarProtocol>(world: &mut World<P>, budget: u64) -> Measured {
-    let mut last_bad: u64 = 0;
-    for r in 1..=budget {
-        world.step();
-        if !world.is_consensus() {
-            last_bad = r;
-        }
-    }
-    let settled_round = (budget > 0 && last_bad < budget).then_some(last_bad + 1);
+/// Steps `world` to round `budget` and reports the settle round.
+pub fn run_settled<W: Run>(world: &mut W, budget: u64) -> Measured {
     Measured {
-        settled_round,
+        settled_round: world.settle(budget),
         budget,
     }
 }

@@ -105,6 +105,12 @@ fn errors_exit_nonzero_with_message() {
         let err = run_err(&args);
         assert!(err.contains("flag --budget-intervals"), "{err}");
     }
+    let err = run_err(&["run", "baseline", "push", "--n", "1"]);
+    assert!(err.contains("need at least two agents"), "{err}");
+    for name in ["push", "mean-estimator"] {
+        let err = run_err(&["run", "baseline", name, "--n", "64", "--delta", "0.5"]);
+        assert!(err.contains("delta 0.5 outside [0, 0.5)"), "{err}");
+    }
     let err = run_err(&["reduce", "--rows", "0.3,0.7;0.7,0.3"]);
     assert!(
         err.contains("not δ-upper bounded") || err.contains("reduction"),
@@ -252,6 +258,74 @@ fn sf_trace_and_summary_bytes_are_pinned() {
 }
 
 #[test]
+fn mean_field_trace_and_summary_bytes_are_pinned() {
+    assert_artifacts_pinned(
+        "mean_field_pins",
+        &[
+            "run",
+            "sf",
+            "--n",
+            "4096",
+            "--seed",
+            "7",
+            "--backend",
+            "mean-field",
+        ],
+        (0xfb7a_48e9_bcda_3c8c, 0x72ff_fa49_33c6_65d5),
+    );
+}
+
+#[test]
+fn restored_trace_matches_the_straight_trace() {
+    // A run checkpointed mid-flight at one thread and restored in a fresh
+    // process at four must write the straight run's trace, byte for byte.
+    let dir = scratch_dir("restore_pin");
+    let straight = dir.join("straight.jsonl");
+    let restored = dir.join("restored.jsonl");
+    let ckpt = dir.join("ckpt.snap");
+    let run = ["run", "sf", "--n", "256", "--seed", "7"];
+    run_ok(
+        &[
+            &run[..],
+            &[
+                "--threads",
+                "1",
+                "--trace",
+                straight.to_str().unwrap(),
+                "--checkpoint",
+                ckpt.to_str().unwrap(),
+                "--checkpoint-every",
+                "8",
+            ],
+        ]
+        .concat(),
+    );
+    let out = run_ok(
+        &[
+            &run[..],
+            &[
+                "--threads",
+                "4",
+                "--restore",
+                ckpt.to_str().unwrap(),
+                "--trace",
+                restored.to_str().unwrap(),
+            ],
+        ]
+        .concat(),
+    );
+    assert!(out.contains("restored "), "{out}");
+    assert_eq!(
+        std::fs::read(&restored).unwrap(),
+        std::fs::read(&straight).unwrap(),
+        "restored trace differs from the straight trace"
+    );
+    // The straight trace is `sf_trace_and_summary_bytes_are_pinned`'s.
+    assert_eq!(file_digest(&restored), 0x8d58_540e_0186_2429);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn faulted_ssf_trace_and_summary_bytes_are_pinned() {
     // Mid-run corruption, a noise ramp and sleep spans draw from the
     // per-agent streams, so they must not break byte-identity either.
@@ -285,15 +359,12 @@ fn faulted_ssf_trace_and_summary_bytes_are_pinned() {
     );
 }
 
-#[test]
-fn sweep_report_bytes_are_pinned() {
-    let dir = scratch_dir("sweep_pin");
+/// Runs the 3-job sweep `spec` through the binary and returns the
+/// digest of its `report.json`.
+fn sweep_report_digest(name: &str, spec_text: &str) -> u64 {
+    let dir = scratch_dir(name);
     let spec = dir.join("spec.txt");
-    std::fs::write(
-        &spec,
-        "protocol = sf\nn = 64\ndelta = 0.1\nruns = 3\nseed = 11\n",
-    )
-    .unwrap();
+    std::fs::write(&spec, spec_text).unwrap();
     let out = dir.join("out");
     run_ok(&[
         "sweep",
@@ -306,6 +377,26 @@ fn sweep_report_bytes_are_pinned() {
         "--threads",
         "1",
     ]);
-    assert_eq!(file_digest(&out.join("report.json")), 0x2400_73a7_9b3d_64a9);
+    let digest = file_digest(&out.join("report.json"));
     std::fs::remove_dir_all(&dir).ok();
+    digest
+}
+
+const SWEEP_SPEC: &str = "protocol = sf\nn = 64\ndelta = 0.1\nruns = 3\nseed = 11\n";
+
+#[test]
+fn sweep_report_bytes_are_pinned() {
+    assert_eq!(
+        sweep_report_digest("sweep_pin", SWEEP_SPEC),
+        0x2400_73a7_9b3d_64a9
+    );
+}
+
+#[test]
+fn mean_field_sweep_report_bytes_are_pinned() {
+    let spec = format!("{SWEEP_SPEC}backend = mean-field\n");
+    assert_eq!(
+        sweep_report_digest("sweep_mf_pin", &spec),
+        0xd2ac_8eb1_a32e_d3d7
+    );
 }

@@ -477,6 +477,7 @@ fn opinion_win_prob(m1_table: &TailTable, n: u64, m3: u64) -> f64 {
 mod tests {
     use super::*;
     use np_engine::counts::CountsWorld;
+    use np_engine::run::Run;
     use np_linalg::noise::NoiseMatrix;
     use np_stats::binomial::pmf;
 
@@ -503,7 +504,7 @@ mod tests {
         let total = params.total_rounds();
         w.record_trace();
         w.run(total);
-        let trace = w.trace().unwrap();
+        let trace = w.traced_rounds();
         // First phase_len rounds are Listen₀ (stage 0), next phase_len
         // Listen₁ (stage 1), then boosting, ending at Done.
         let t = params.phase_len() as usize;

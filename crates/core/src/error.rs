@@ -21,6 +21,14 @@ pub enum CoreError {
         /// Description of the problem.
         detail: String,
     },
+    /// A round budget of `intervals` SSF update intervals does not fit a
+    /// `u64` round counter.
+    BudgetOverflow {
+        /// The requested number of update intervals.
+        intervals: u64,
+        /// Rounds per update interval.
+        interval: u64,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -35,6 +43,13 @@ impl fmt::Display for CoreError {
             CoreError::BadParameter { name, detail } => {
                 write!(f, "bad parameter `{name}`: {detail}")
             }
+            CoreError::BudgetOverflow {
+                intervals,
+                interval,
+            } => write!(
+                f,
+                "{intervals} intervals of {interval} rounds overflow the u64 round budget"
+            ),
         }
     }
 }
@@ -55,6 +70,10 @@ mod tests {
             CoreError::BadParameter {
                 name: "c1",
                 detail: "must be positive".into(),
+            },
+            CoreError::BudgetOverflow {
+                intervals: u64::MAX,
+                interval: 2,
             },
         ] {
             assert!(!e.to_string().is_empty());

@@ -50,7 +50,7 @@
 //!
 //! ```
 //! use noisy_pull::{params::SfParams, sf::SourceFilter};
-//! use np_engine::{channel::ChannelKind, population::PopulationConfig, world::World};
+//! use np_engine::{channel::ChannelKind, population::PopulationConfig, run::Run, world::World};
 //! use np_linalg::noise::NoiseMatrix;
 //!
 //! let n = 512;

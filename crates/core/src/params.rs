@@ -314,6 +314,23 @@ impl SsfParams {
     pub fn expected_convergence_rounds(&self) -> u64 {
         3 * self.update_interval()
     }
+
+    /// The round budget of `intervals` update intervals — what the CLI's
+    /// `--budget-intervals` and a sweep spec's `budget-intervals` ask for.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::BudgetOverflow`] when the product does not fit
+    /// a round counter.
+    pub fn interval_budget(&self, intervals: u64) -> Result<u64> {
+        let interval = self.update_interval();
+        intervals
+            .checked_mul(interval)
+            .ok_or(CoreError::BudgetOverflow {
+                intervals,
+                interval,
+            })
+    }
 }
 
 fn validate_c1(c1: f64) -> Result<()> {
@@ -470,6 +487,9 @@ mod tests {
         let q = p.with_m(1024).unwrap();
         assert_eq!(q.update_interval(), 2);
         assert!(p.with_m(0).is_err());
+        assert_eq!(q.interval_budget(10), Ok(20));
+        let e = q.interval_budget(u64::MAX).unwrap_err().to_string();
+        assert!(e.contains("overflow the u64 round budget"), "{e}");
     }
 
     #[test]

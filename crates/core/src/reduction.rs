@@ -31,7 +31,7 @@ use rand::Rng;
 ///
 /// ```
 /// use noisy_pull::{params::SfParams, reduction::WithArtificialNoise, sf::SourceFilter};
-/// use np_engine::{channel::ChannelKind, population::PopulationConfig, world::World};
+/// use np_engine::{channel::ChannelKind, population::PopulationConfig, run::Run, world::World};
 /// use np_linalg::noise::NoiseMatrix;
 ///
 /// // The real channel: asymmetric, 0.2-upper-bounded.
@@ -170,6 +170,7 @@ mod tests {
     use crate::sf::SourceFilter;
     use np_engine::channel::ChannelKind;
     use np_engine::population::{PopulationConfig, Role};
+    use np_engine::run::Run;
     use np_engine::world::World;
     use rand::SeedableRng;
 

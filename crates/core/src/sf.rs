@@ -57,7 +57,7 @@ pub(crate) fn majority<R: Rng + ?Sized>(ones: u64, zeros: u64, rng: &mut R) -> O
 ///
 /// ```
 /// use noisy_pull::{params::SfParams, sf::SourceFilter};
-/// use np_engine::{channel::ChannelKind, population::PopulationConfig, world::World};
+/// use np_engine::{channel::ChannelKind, population::PopulationConfig, run::Run, world::World};
 /// use np_linalg::noise::NoiseMatrix;
 ///
 /// let config = PopulationConfig::new(256, 0, 1, 256)?; // single source, h = n
@@ -486,6 +486,7 @@ impl np_engine::snapshot::SnapshotAgent for SfAgent {
 mod tests {
     use super::*;
     use np_engine::channel::ChannelKind;
+    use np_engine::run::Run;
     use np_engine::world::World;
     use np_linalg::noise::NoiseMatrix;
     use rand::SeedableRng;

@@ -392,6 +392,7 @@ mod tests {
     use super::*;
     use np_engine::channel::ChannelKind;
     use np_engine::population::PopulationConfig;
+    use np_engine::run::Run;
     use np_engine::world::World;
     use np_linalg::noise::NoiseMatrix;
     use rand::SeedableRng;

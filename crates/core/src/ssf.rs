@@ -79,7 +79,7 @@ pub fn decode(symbol: usize) -> (bool, Opinion) {
 ///
 /// ```
 /// use noisy_pull::{params::SsfParams, ssf::SelfStabilizingSourceFilter};
-/// use np_engine::{channel::ChannelKind, population::PopulationConfig, world::World};
+/// use np_engine::{channel::ChannelKind, population::PopulationConfig, run::Run, world::World};
 /// use np_linalg::noise::NoiseMatrix;
 ///
 /// let config = PopulationConfig::new(256, 0, 1, 256)?;
@@ -388,6 +388,7 @@ mod tests {
     use super::*;
     use np_engine::channel::ChannelKind;
     use np_engine::population::PopulationConfig;
+    use np_engine::run::Run;
     use np_engine::world::World;
     use np_linalg::noise::NoiseMatrix;
     use rand::SeedableRng;

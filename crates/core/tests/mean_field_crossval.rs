@@ -26,8 +26,8 @@ use noisy_pull::sf::SourceFilter;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use np_engine::channel::ChannelKind;
 use np_engine::counts::CountsWorld;
-use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
+use np_engine::run::Run;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 use np_stats::ks::ks2_p_value;
@@ -64,23 +64,22 @@ fn sf_probe_rounds(params: &SfParams) -> Vec<u64> {
     vec![weak_round, weak_round + params.subphase_len()]
 }
 
-fn sf_stats_per_agent(n: usize, seed: u64) -> RunStats {
-    let (config, params, noise) = sf_setup(n);
-    let probes = sf_probe_rounds(&params);
-    let mut world = World::new(
-        &SourceFilter::new(params),
-        config,
-        &noise,
-        ChannelKind::Aggregated,
-        seed,
+/// Runs `world` (either backend) for `rounds` rounds and returns each
+/// round's correct count and weak-opinion accuracy from its trace.
+fn traced_counts(mut world: impl Run, rounds: u64) -> (Vec<usize>, Vec<usize>) {
+    world.record_trace();
+    world.run(rounds);
+    let trace = world.traced_rounds();
+    (
+        trace.iter().map(|m| m.correct).collect(),
+        trace.iter().map(|m| m.weak_correct).collect(),
     )
-    .expect("valid world");
-    world.record_series();
-    world.run(params.total_rounds());
-    let series = world.series().expect("series recorded");
-    let correct: Vec<usize> = series.counts(Opinion::One);
+}
+
+fn sf_stats(world: impl Run, params: &SfParams, n: usize) -> RunStats {
+    let (correct, _) = traced_counts(world, params.total_rounds());
     RunStats {
-        probes: probes
+        probes: sf_probe_rounds(params)
             .iter()
             .map(|&r| correct[r as usize - 1] as f64)
             .collect(),
@@ -88,22 +87,19 @@ fn sf_stats_per_agent(n: usize, seed: u64) -> RunStats {
     }
 }
 
+fn sf_stats_per_agent(n: usize, seed: u64) -> RunStats {
+    let (config, params, noise) = sf_setup(n);
+    let protocol = SourceFilter::new(params);
+    let world =
+        World::new(&protocol, config, &noise, ChannelKind::Aggregated, seed).expect("valid world");
+    sf_stats(world, &params, n)
+}
+
 fn sf_stats_mean_field(n: usize, seed: u64) -> RunStats {
     let (config, params, noise) = sf_setup(n);
-    let probes = sf_probe_rounds(&params);
-    let mut world =
+    let world =
         CountsWorld::new(&SourceFilter::new(params), config, &noise, seed).expect("valid world");
-    world.record_series();
-    world.run(params.total_rounds());
-    let series = world.series().expect("series recorded");
-    let correct: Vec<usize> = series.counts(Opinion::One);
-    RunStats {
-        probes: probes
-            .iter()
-            .map(|&r| correct[r as usize - 1] as f64)
-            .collect(),
-        settle: settle_round(&correct, n),
-    }
+    sf_stats(world, &params, n)
 }
 
 fn ssf_setup(n: usize) -> (PopulationConfig, SsfParams, NoiseMatrix) {
@@ -116,13 +112,9 @@ fn ssf_setup(n: usize) -> (PopulationConfig, SsfParams, NoiseMatrix) {
 /// SSF statistics come from the trace so the weak-opinion accuracy at the
 /// first flush is validated too (it exercises the joint, not just the
 /// opinion marginal).
-fn ssf_stats<FS>(n: usize, run: FS) -> RunStats
-where
-    FS: FnOnce(u64) -> (Vec<usize>, Vec<usize>),
-{
-    let (_, params, _) = ssf_setup(n);
+fn ssf_stats(world: impl Run, params: &SsfParams, n: usize) -> RunStats {
     let interval = params.update_interval();
-    let (correct, weak_correct) = run(3 * interval);
+    let (correct, weak_correct) = traced_counts(world, 3 * interval);
     RunStats {
         probes: vec![
             correct[interval as usize - 1] as f64,
@@ -135,43 +127,17 @@ where
 
 fn ssf_stats_per_agent(n: usize, seed: u64) -> RunStats {
     let (config, params, noise) = ssf_setup(n);
-    ssf_stats(n, move |rounds| {
-        let mut world = World::new(
-            &SelfStabilizingSourceFilter::new(params),
-            config,
-            &noise,
-            ChannelKind::Aggregated,
-            seed,
-        )
-        .expect("valid world");
-        world.record_trace();
-        world.run(rounds);
-        let trace = world.trace().expect("trace recorded");
-        (
-            trace.rounds().iter().map(|m| m.correct).collect(),
-            trace.rounds().iter().map(|m| m.weak_correct).collect(),
-        )
-    })
+    let protocol = SelfStabilizingSourceFilter::new(params);
+    let world =
+        World::new(&protocol, config, &noise, ChannelKind::Aggregated, seed).expect("valid world");
+    ssf_stats(world, &params, n)
 }
 
 fn ssf_stats_mean_field(n: usize, seed: u64) -> RunStats {
     let (config, params, noise) = ssf_setup(n);
-    ssf_stats(n, move |rounds| {
-        let mut world = CountsWorld::new(
-            &SelfStabilizingSourceFilter::new(params),
-            config,
-            &noise,
-            seed,
-        )
-        .expect("valid world");
-        world.record_trace();
-        world.run(rounds);
-        let trace = world.trace().expect("trace recorded");
-        (
-            trace.iter().map(|m| m.correct).collect(),
-            trace.iter().map(|m| m.weak_correct).collect(),
-        )
-    })
+    let protocol = SelfStabilizingSourceFilter::new(params);
+    let world = CountsWorld::new(&protocol, config, &noise, seed).expect("valid world");
+    ssf_stats(world, &params, n)
 }
 
 /// Runs both backends over the seed battery and KS-compares every

@@ -33,9 +33,10 @@
 
 use crate::channel::{Channel, ChannelKind, SamplingMode};
 use crate::error::EngineError;
-use crate::metrics::{MetricsSweep, OpinionSeries, RoundMetrics, RunOutcome};
+use crate::metrics::{MetricsSweep, OpinionSeries, RoundMetrics};
 use crate::opinion::Opinion;
 use crate::population::PopulationConfig;
+use crate::run::Run;
 use crate::streams::{RoundStreams, StreamRng, StreamStage};
 use crate::Result;
 use np_linalg::noise::NoiseMatrix;
@@ -76,9 +77,8 @@ pub trait CountsState {
 }
 
 /// The mean-field analogue of [`crate::world::World`]: owns a counts
-/// state and a channel, advances rounds, and exposes the same run /
-/// consensus / recording API so experiment harnesses can switch backends
-/// without restructuring.
+/// state and a channel, advances rounds, and runs through the same
+/// [`Run`] loop so callers can switch backends without restructuring.
 pub struct CountsWorld<P: CountsProtocol> {
     state: P::State,
     config: PopulationConfig,
@@ -145,11 +145,6 @@ impl<P: CountsProtocol> CountsWorld<P> {
         &self.config
     }
 
-    /// Number of completed rounds.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// The master seed this world was built with.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -178,20 +173,6 @@ impl<P: CountsProtocol> CountsWorld<P> {
     /// called.
     pub fn series(&self) -> Option<&OpinionSeries> {
         self.series.as_ref()
-    }
-
-    /// Enables the per-round metrics trace (see [`CountsWorld::trace`]).
-    pub fn record_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
-    }
-
-    /// The recorded trace, if [`CountsWorld::record_trace`] was called.
-    /// Fault labels are always empty — the backend has no fault
-    /// subsystem.
-    pub fn trace(&self) -> Option<&[RoundMetrics]> {
-        self.trace.as_deref()
     }
 
     /// Executes one synchronous round: histogram → collapsed law →
@@ -236,79 +217,46 @@ impl<P: CountsProtocol> CountsWorld<P> {
         }
     }
 
-    /// Runs `rounds` rounds unconditionally.
-    pub fn run(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step();
-        }
-    }
-
     /// Number of agents currently holding the correct opinion.
     pub fn correct_count(&self) -> usize {
         self.state.metrics_sweep(self.correct_opinion).correct
     }
+}
 
-    /// Returns `true` if every agent (sources included) holds the correct
-    /// opinion — the paper's consensus condition (Definition 2).
-    pub fn is_consensus(&self) -> bool {
-        self.correct_count() == self.config.n()
+impl<P: CountsProtocol> Run for CountsWorld<P> {
+    fn step(&mut self) {
+        CountsWorld::step(self);
     }
 
-    /// Steps until consensus on the correct opinion or until `budget`
-    /// rounds have run — same semantics as
-    /// [`crate::world::World::run_until_consensus`].
-    pub fn run_until_consensus(&mut self, budget: u64) -> RunOutcome {
-        if self.is_consensus() {
-            return RunOutcome::Converged { rounds: 0 };
-        }
-        let start = self.round;
-        while self.round - start < budget {
-            self.step();
-            if self.is_consensus() {
-                return RunOutcome::Converged {
-                    rounds: self.round - start,
-                };
-            }
-        }
-        RunOutcome::TimedOut {
-            budget,
-            correct_at_end: self.correct_count(),
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    fn correct_count(&self) -> usize {
+        CountsWorld::correct_count(self)
+    }
+
+    fn n(&self) -> usize {
+        self.config.n()
+    }
+
+    fn record_trace(&mut self) {
+        if self.trace.is_none() {
+            self.trace = Some(Vec::new());
         }
     }
 
-    /// Steps until consensus has *held* for `window` consecutive rounds —
-    /// same semantics as
-    /// [`crate::world::World::run_until_stable_consensus`].
-    pub fn run_until_stable_consensus(&mut self, budget: u64, window: u64) -> RunOutcome {
-        let window = window.max(1);
-        if self.is_consensus() {
-            return RunOutcome::Converged { rounds: 0 };
-        }
-        let start = self.round;
-        let mut streak: u64 = 0;
-        while self.round - start < budget {
-            self.step();
-            if self.is_consensus() {
-                streak += 1;
-                if streak >= window {
-                    return RunOutcome::Converged {
-                        rounds: (self.round - start).saturating_sub(window - 1),
-                    };
-                }
-            } else {
-                streak = 0;
-            }
-        }
-        RunOutcome::TimedOut {
-            budget,
-            correct_at_end: self.correct_count(),
-        }
+    /// Fault labels are always empty — the backend has no fault
+    /// subsystem.
+    fn traced_rounds(&self) -> &[RoundMetrics] {
+        self.trace.as_deref().unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RunOutcome;
     use np_stats::binomial;
 
     /// Toy counts protocol: every agent displays its opinion; each round
@@ -392,7 +340,7 @@ mod tests {
         w.run(5);
         assert_eq!(w.round(), 5);
         assert_eq!(w.series().unwrap().len(), 5);
-        let trace = w.trace().unwrap();
+        let trace = w.traced_rounds();
         assert_eq!(trace.len(), 5);
         assert_eq!(trace[4].round, 5);
         assert_eq!(trace[4].n, 100);

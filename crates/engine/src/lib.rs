@@ -33,8 +33,11 @@
 //!   transition laws. `O(#classes)` per round instead of `O(n)`, opening
 //!   `n = 10⁷–10⁸`; distributionally (not bit-level) equivalent to the
 //!   per-agent engine, aggregated with-replacement channels only.
-//! * [`world`] — the round loop, consensus detection, and the adversarial
-//!   state-corruption hook for self-stabilization experiments.
+//! * [`world`] — the round loop and the adversarial state-corruption hook
+//!   for self-stabilization experiments.
+//! * [`run`] — the [`run::Run`] trait every round backend implements: the
+//!   consensus predicate, run-to-consensus, run-until-stable and the
+//!   settle loop, written once for `World`, `CountsWorld` and `PushWorld`.
 //! * [`packed`] — bit-plane packed display storage: the word-level state
 //!   layout the round loop runs on (display histograms are plane
 //!   popcounts; scalar display vectors survive as seams for the exact
@@ -81,6 +84,7 @@
 //! use np_engine::opinion::Opinion;
 //! use np_engine::population::{PopulationConfig, Role};
 //! use np_engine::protocol::{AgentState, Protocol, ScalarLayout};
+//! use np_engine::run::Run;
 //! use np_engine::world::World;
 //! use np_linalg::noise::NoiseMatrix;
 //! use np_engine::streams::StreamRng;
@@ -171,6 +175,7 @@ pub mod packed;
 pub mod population;
 pub mod protocol;
 pub mod push;
+pub mod run;
 pub mod runner;
 pub mod snapshot;
 pub mod streams;

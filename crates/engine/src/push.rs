@@ -28,9 +28,10 @@ use np_linalg::noise::NoiseMatrix;
 use np_stats::alias::RowSamplers;
 use rand::{Rng, SeedableRng};
 
-use crate::metrics::RunOutcome;
+use crate::metrics::RoundMetrics;
 use crate::opinion::Opinion;
 use crate::population::{PopulationConfig, Role};
+use crate::run::Run;
 use crate::{EngineError, Result};
 
 /// A spreading algorithm for the noisy PUSH(h) model.
@@ -133,11 +134,6 @@ impl<P: PushProtocol> PushWorld<P> {
         &self.config
     }
 
-    /// Number of completed rounds.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// Read access to an agent's state.
     ///
     /// # Panics
@@ -174,16 +170,19 @@ impl<P: PushProtocol> PushWorld<P> {
         }
         self.round += 1;
     }
+}
 
-    /// Runs `rounds` rounds unconditionally.
-    pub fn run(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step();
-        }
+/// PUSH has no stage metrics, so it records no trace.
+impl<P: PushProtocol> Run for PushWorld<P> {
+    fn step(&mut self) {
+        PushWorld::step(self);
     }
 
-    /// Number of agents currently holding the correct opinion.
-    pub fn correct_count(&self) -> usize {
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    fn correct_count(&self) -> usize {
         let correct = self.config.correct_opinion();
         self.agents
             .iter()
@@ -191,27 +190,14 @@ impl<P: PushProtocol> PushWorld<P> {
             .count()
     }
 
-    /// Returns `true` if every agent holds the correct opinion.
-    pub fn is_consensus(&self) -> bool {
-        self.correct_count() == self.config.n()
+    fn n(&self) -> usize {
+        self.config.n()
     }
 
-    /// Steps until consensus on the correct opinion or until `budget`
-    /// rounds have run.
-    pub fn run_until_consensus(&mut self, budget: u64) -> RunOutcome {
-        let start = self.round;
-        while self.round - start < budget {
-            self.step();
-            if self.is_consensus() {
-                return RunOutcome::Converged {
-                    rounds: self.round - start,
-                };
-            }
-        }
-        RunOutcome::TimedOut {
-            budget,
-            correct_at_end: self.correct_count(),
-        }
+    fn record_trace(&mut self) {}
+
+    fn traced_rounds(&self) -> &[RoundMetrics] {
+        &[]
     }
 }
 
@@ -228,6 +214,7 @@ impl<P: PushProtocol> std::fmt::Debug for PushWorld<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RunOutcome;
 
     /// Test protocol: sources shout their preference; everyone else stays
     /// silent and adopts the majority symbol ever received.
@@ -307,6 +294,23 @@ mod tests {
         // says ~n ln n rounds for everyone to hear at least once.
         let outcome = world.run_until_consensus(20_000);
         assert!(outcome.converged(), "{outcome:?}");
+    }
+
+    #[test]
+    fn already_converged_world_converges_in_zero_rounds() {
+        // Both agents are sources of the correct opinion: consensus holds
+        // before the first round, so no budget is spent.
+        let config = PopulationConfig::new(2, 0, 2, 1).unwrap();
+        let noise = NoiseMatrix::uniform(2, 0.2).unwrap();
+        for budget in [0, 5] {
+            let mut world = PushWorld::new(&Shout, config, &noise, 4).unwrap();
+            assert_eq!(
+                world.run_until_consensus(budget),
+                RunOutcome::Converged { rounds: 0 },
+                "budget {budget}"
+            );
+            assert_eq!(world.round(), 0);
+        }
     }
 
     #[test]

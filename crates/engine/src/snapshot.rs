@@ -77,6 +77,27 @@ fn bad(detail: impl Into<String>) -> EngineError {
     }
 }
 
+/// Writes snapshot bytes to `path` atomically: first to `<path>.tmp`, then
+/// renamed over `path`, so a process stopped mid-write leaves the previous
+/// snapshot in place, never a torn one. Missing parent directories are
+/// created.
+///
+/// # Errors
+///
+/// Propagates I/O errors from directory creation, the write or the
+/// rename.
+pub fn save_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
 /// Append-only writer for the `np-snap/v1` binary encoding.
 ///
 /// All multi-byte integers are little-endian; see the module docs for the

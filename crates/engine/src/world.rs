@@ -38,12 +38,13 @@ use crate::channel::{Channel, ChannelKind, SamplingMode};
 use crate::digest::Digest;
 use crate::faults::{FaultEvent, FaultPlan, ScheduledFault};
 use crate::metrics::{
-    OpinionSeries, RoundMetrics, RunObserver, RunOutcome, StageClock, StageTimings, TraceRecorder,
+    OpinionSeries, RoundMetrics, RunObserver, StageClock, StageTimings, TraceRecorder,
 };
 use crate::opinion::Opinion;
 use crate::packed::{self, PackedDisplays};
 use crate::population::PopulationConfig;
 use crate::protocol::{AgentRecords, ColumnarProtocol, ColumnarState};
+use crate::run::Run;
 use crate::runner;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotState, SNAP_MAGIC, SNAP_MAGIC_V2};
 use crate::streams::{RoundStreams, StreamStage};
@@ -199,11 +200,6 @@ impl<P: ColumnarProtocol> World<P> {
         &self.config
     }
 
-    /// Number of completed rounds.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// The master seed this world was built with.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -316,28 +312,15 @@ impl<P: ColumnarProtocol> World<P> {
         self.series.as_ref()
     }
 
-    /// Enables the built-in per-round trace: every subsequent
-    /// [`World::step`] appends one [`RoundMetrics`] snapshot (and that
-    /// round's [`StageTimings`]) to an internal [`TraceRecorder`].
-    ///
-    /// The metrics are a pure function of the trajectory, so recorded
-    /// traces are identical for every thread count; only the timings vary.
-    /// When neither this nor [`World::set_observer`] is active, `step`
-    /// performs no extra work and no clock reads.
-    pub fn record_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(TraceRecorder::new());
-        }
-    }
-
-    /// The recorded trace, if [`World::record_trace`] was called.
+    /// The recorded trace with its stage timings, if [`Run::record_trace`]
+    /// was called.
     pub fn trace(&self) -> Option<&TraceRecorder> {
         self.trace.as_ref()
     }
 
     /// Removes and returns the recorded trace, disabling further
     /// recording (callers that want to keep tracing call
-    /// [`World::record_trace`] again).
+    /// [`Run::record_trace`] again).
     pub fn take_trace(&mut self) -> Option<TraceRecorder> {
         self.trace.take()
     }
@@ -716,82 +699,43 @@ impl<P: ColumnarProtocol> World<P> {
         }
     }
 
-    /// Runs `rounds` rounds unconditionally.
-    pub fn run(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step();
-        }
-    }
-
     /// Number of agents currently holding the correct opinion (see
     /// [`World::correct_opinion`]).
     pub fn correct_count(&self) -> usize {
         self.state.count_opinion(self.correct_opinion)
     }
+}
 
-    /// Returns `true` if every agent (sources included) holds the correct
-    /// opinion — the paper's consensus condition (Definition 2).
-    pub fn is_consensus(&self) -> bool {
-        self.correct_count() == self.config.n()
+impl<P: ColumnarProtocol> Run for World<P> {
+    fn step(&mut self) {
+        World::step(self);
     }
 
-    /// Steps until consensus on the correct opinion or until `budget`
-    /// rounds have run. A world already in consensus converges in 0 rounds
-    /// without stepping, even at `budget = 0`.
-    pub fn run_until_consensus(&mut self, budget: u64) -> RunOutcome {
-        if self.is_consensus() {
-            return RunOutcome::Converged { rounds: 0 };
-        }
-        let start = self.round;
-        while self.round - start < budget {
-            self.step();
-            if self.is_consensus() {
-                return RunOutcome::Converged {
-                    rounds: self.round - start,
-                };
-            }
-        }
-        RunOutcome::TimedOut {
-            budget,
-            correct_at_end: self.correct_count(),
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    fn correct_count(&self) -> usize {
+        World::correct_count(self)
+    }
+
+    fn n(&self) -> usize {
+        self.config.n()
+    }
+
+    /// Each traced round also adds its [`StageTimings`] to
+    /// [`World::trace`]. The metrics are a pure function of the
+    /// trajectory, so traces are identical for every thread count. When
+    /// neither this nor [`World::set_observer`] is active, `step` does no
+    /// extra work and reads no clock.
+    fn record_trace(&mut self) {
+        if self.trace.is_none() {
+            self.trace = Some(TraceRecorder::new());
         }
     }
 
-    /// Steps until the consensus has *held* for `window` consecutive rounds
-    /// (or the budget runs out), returning the round at which the stable
-    /// window began. Used by the self-stabilization persistence experiment:
-    /// Definition 2 requires consensus to be reached *and kept*.
-    ///
-    /// `window = 0` is saturated to 1 (a zero-length persistence
-    /// requirement is the same as observing consensus once; the raw value
-    /// would underflow the round arithmetic). Consensus is checked before
-    /// the first step, so a world already in consensus — e.g. a resumed
-    /// persistence run — converges in 0 rounds rather than timing out at
-    /// `budget = 0`.
-    pub fn run_until_stable_consensus(&mut self, budget: u64, window: u64) -> RunOutcome {
-        let window = window.max(1);
-        if self.is_consensus() {
-            return RunOutcome::Converged { rounds: 0 };
-        }
-        let start = self.round;
-        let mut streak: u64 = 0;
-        while self.round - start < budget {
-            self.step();
-            if self.is_consensus() {
-                streak += 1;
-                if streak >= window {
-                    return RunOutcome::Converged {
-                        rounds: (self.round - start).saturating_sub(window - 1),
-                    };
-                }
-            } else {
-                streak = 0;
-            }
-        }
-        RunOutcome::TimedOut {
-            budget,
-            correct_at_end: self.correct_count(),
-        }
+    fn traced_rounds(&self) -> &[RoundMetrics] {
+        self.trace.as_ref().map_or(&[], TraceRecorder::rounds)
     }
 }
 
@@ -1285,63 +1229,6 @@ mod tests {
         w.run(5);
         let s = w.series().unwrap();
         assert_eq!(s.len(), 5);
-    }
-
-    #[test]
-    fn run_until_consensus_times_out_on_tiny_budget() {
-        let mut w = world(5);
-        let outcome = w.run_until_consensus(1);
-        // One round of majority under noise will almost surely not convert
-        // all 28 non-sources; accept either but check invariants.
-        match outcome {
-            RunOutcome::Converged { rounds } => assert_eq!(rounds, 1),
-            RunOutcome::TimedOut {
-                budget,
-                correct_at_end,
-            } => {
-                assert_eq!(budget, 1);
-                assert!(correct_at_end <= 32);
-            }
-        }
-        assert_eq!(w.round(), 1);
-    }
-
-    #[test]
-    fn stable_consensus_requires_window() {
-        let mut w = world(8);
-        let outcome = w.run_until_stable_consensus(1000, 10);
-        assert!(outcome.converged());
-        // After the stable window, the system is (still) in consensus.
-        assert!(w.is_consensus());
-    }
-
-    #[test]
-    fn stable_consensus_window_zero_does_not_underflow() {
-        // Regression: window = 0 underflowed `rounds - (window - 1)`.
-        let mut w = world(8);
-        let outcome = w.run_until_stable_consensus(1000, 0);
-        assert!(outcome.converged(), "outcome: {outcome:?}");
-        let mut v = world(8);
-        let with_one = v.run_until_stable_consensus(1000, 1);
-        assert_eq!(outcome, with_one, "window 0 behaves as window 1");
-    }
-
-    #[test]
-    fn already_converged_world_reports_converged_at_zero_budget() {
-        // Regression: both runners stepped before checking consensus, so
-        // an already-converged world timed out at budget = 0.
-        let mut w = world(8);
-        assert!(w.run_until_consensus(1000).converged());
-        let round = w.round();
-        assert_eq!(
-            w.run_until_consensus(0),
-            RunOutcome::Converged { rounds: 0 }
-        );
-        assert_eq!(
-            w.run_until_stable_consensus(0, 5),
-            RunOutcome::Converged { rounds: 0 }
-        );
-        assert_eq!(w.round(), round, "no steps were taken");
     }
 
     #[test]

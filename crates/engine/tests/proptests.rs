@@ -4,6 +4,7 @@
 use np_engine::channel::{Channel, ChannelKind};
 use np_engine::opinion::Opinion;
 use np_engine::population::{PopulationConfig, Role};
+use np_engine::run::Run;
 use np_engine::streams::StreamRng;
 use np_linalg::noise::NoiseMatrix;
 use proptest::prelude::*;

@@ -35,8 +35,9 @@ use np_engine::channel::ChannelKind;
 use np_engine::counts::{CountsProtocol, CountsWorld};
 use np_engine::population::PopulationConfig;
 use np_engine::protocol::ColumnarProtocol;
+use np_engine::run::Run;
 use np_engine::runner::scatter;
-use np_engine::snapshot::SnapshotState;
+use np_engine::snapshot::{save_atomic, SnapshotState};
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 
@@ -244,84 +245,56 @@ fn base_record(job: &JobSpec, budget: u64) -> JobRecord {
     }
 }
 
-/// An SSF job's round budget: `budget-intervals` update intervals,
-/// refused when the product does not fit a round counter.
-fn ssf_budget(job: &JobSpec, params: &SsfParams) -> Result<u64, SweepError> {
-    let interval = params.update_interval();
-    job.budget_intervals.checked_mul(interval).ok_or_else(|| {
-        SweepError(format!(
-            "budget-intervals {} of {interval} rounds overflow the u64 round budget",
-            job.budget_intervals
-        ))
-    })
-}
-
 /// Runs one job to completion (or until the sweep-wide stop flag trips),
-/// dispatching on the protocol.
+/// dispatching on the backend and the protocol.
 fn run_job(job: &JobSpec, prior: Option<&JobRecord>, ctx: &SweepCtx<'_>) -> Result<(), SweepError> {
     let config = PopulationConfig::new(job.n, job.s0, job.s1, job.h).map_err(err)?;
-    if job.backend == BackendKind::MeanField {
-        return match job.protocol {
-            ProtocolKind::Sf => {
-                let params = SfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-                let budget = params.total_rounds();
-                drive_counts(&SourceFilter::new(params), config, budget, job, ctx)
-            }
-            ProtocolKind::Ssf => {
-                let params = SsfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-                let budget = ssf_budget(job, &params)?;
-                drive_counts(
-                    &SelfStabilizingSourceFilter::new(params),
-                    config,
-                    budget,
-                    job,
-                    ctx,
-                )
-            }
-            // `SweepSpec::parse` rejects mean-field + sf-alt; guard anyway
-            // so a hand-built spec fails loudly instead of silently
-            // running the wrong engine.
-            ProtocolKind::SfAlt => Err(SweepError(
-                "backend mean-field does not support protocol sf-alt".into(),
-            )),
-        };
-    }
-    match job.protocol {
-        ProtocolKind::Sf => {
-            let params = SfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-            let budget = params.total_rounds();
-            drive(&SourceFilter::new(params), config, budget, job, prior, ctx)
+    let sf = || SfParams::derive(&config, job.delta, job.c1).map_err(err);
+    let ssf = || -> Result<(SsfParams, u64), SweepError> {
+        let params = SsfParams::derive(&config, job.delta, job.c1).map_err(err)?;
+        let budget = params
+            .interval_budget(job.budget_intervals)
+            .map_err(|e| SweepError(format!("budget-intervals: {e}")))?;
+        Ok((params, budget))
+    };
+    match (job.backend, job.protocol) {
+        (BackendKind::PerAgent, ProtocolKind::Sf) => {
+            let params = sf()?;
+            let protocol = SourceFilter::new(params);
+            drive_agents(&protocol, config, params.total_rounds(), job, prior, ctx)
         }
-        ProtocolKind::SfAlt => {
-            let params = SfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-            let budget = params.total_rounds();
-            drive(
-                &AlternatingSourceFilter::new(params),
-                config,
-                budget,
-                job,
-                prior,
-                ctx,
-            )
+        (BackendKind::PerAgent, ProtocolKind::SfAlt) => {
+            let params = sf()?;
+            let protocol = AlternatingSourceFilter::new(params);
+            drive_agents(&protocol, config, params.total_rounds(), job, prior, ctx)
         }
-        ProtocolKind::Ssf => {
-            let params = SsfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-            let budget = ssf_budget(job, &params)?;
-            drive(
-                &SelfStabilizingSourceFilter::new(params),
-                config,
-                budget,
-                job,
-                prior,
-                ctx,
-            )
+        (BackendKind::PerAgent, ProtocolKind::Ssf) => {
+            let (params, budget) = ssf()?;
+            let protocol = SelfStabilizingSourceFilter::new(params);
+            drive_agents(&protocol, config, budget, job, prior, ctx)
         }
+        (BackendKind::MeanField, ProtocolKind::Sf) => {
+            let params = sf()?;
+            let protocol = SourceFilter::new(params);
+            drive_counts(&protocol, config, params.total_rounds(), job, ctx)
+        }
+        (BackendKind::MeanField, ProtocolKind::Ssf) => {
+            let (params, budget) = ssf()?;
+            let protocol = SelfStabilizingSourceFilter::new(params);
+            drive_counts(&protocol, config, budget, job, ctx)
+        }
+        // `SweepSpec::parse` rejects mean-field + sf-alt; guard anyway so a
+        // hand-built spec fails loudly instead of silently running the
+        // wrong engine.
+        (BackendKind::MeanField, ProtocolKind::SfAlt) => Err(SweepError(
+            "backend mean-field does not support protocol sf-alt".into(),
+        )),
     }
 }
 
-/// The generic job loop: build or restore the world, step to consensus or
-/// budget, checkpointing every K rounds.
-fn drive<P>(
+/// A per-agent job: build or restore the world, then drive it,
+/// checkpointing every K rounds.
+fn drive_agents<P>(
     protocol: &P,
     config: PopulationConfig,
     budget: u64,
@@ -358,43 +331,26 @@ where
     // One engine thread per world: the sweep already parallelizes across
     // jobs, and oversubscribing cores would only add scheduling noise.
     world.set_threads(1);
-
-    while world.round() < budget {
-        if ctx.stopped() {
-            // Leave the job as the manifest last described it; resume
-            // re-runs the suffix deterministically.
-            return Ok(());
+    drive(&mut world, budget, job, ctx, |world| {
+        if !world.round().is_multiple_of(ctx.checkpoint_every) || world.round() >= budget {
+            return Ok(false);
         }
-        world.step();
-        if world.is_consensus() {
-            break;
-        }
-        if world.round().is_multiple_of(ctx.checkpoint_every) && world.round() < budget {
-            let rel = write_checkpoint(ctx.out, &job.id, &world.snapshot())?;
-            let mut rec = base_record(job, budget);
-            rec.status = JobStatus::Checkpointed;
-            rec.checkpoint = Some(rel);
-            rec.round = world.round();
-            rec.correct = world.correct_count();
-            ctx.append(&rec)?;
-            if ctx.note_checkpoint() {
-                return Ok(());
-            }
-        }
-    }
-
-    let mut rec = base_record(job, budget);
-    rec.status = JobStatus::Done;
-    rec.round = world.round();
-    rec.consensus = world.is_consensus();
-    rec.correct = world.correct_count();
-    ctx.append(&rec)
+        let rel = format!("checkpoints/{}.snap", job.id);
+        save_atomic(&ctx.out.join(&rel), &world.snapshot())?;
+        let mut rec = base_record(job, budget);
+        rec.status = JobStatus::Checkpointed;
+        rec.checkpoint = Some(rel);
+        rec.round = world.round();
+        rec.correct = world.correct_count();
+        ctx.append(&rec)?;
+        Ok(ctx.note_checkpoint())
+    })
 }
 
-/// The mean-field job loop: counts jobs are `O(states)` per round, so
-/// they run atomically — no snapshots, no checkpoint records. A stop
-/// request between rounds abandons the job (no record appended) and
-/// resume re-runs it from scratch, which costs less than one per-agent
+/// A mean-field job: counts jobs are `O(states)` per round, so they run
+/// atomically — no snapshots, no checkpoint records. A stop request
+/// between rounds abandons the job (no record appended) and resume
+/// re-runs it from scratch, which costs less than one per-agent
 /// checkpoint restore.
 fn drive_counts<P: CountsProtocol>(
     protocol: &P,
@@ -413,6 +369,22 @@ fn drive_counts<P: CountsProtocol>(
     }
     let noise = NoiseMatrix::uniform(job.protocol.alphabet_size(), job.delta).map_err(err)?;
     let mut world = CountsWorld::new(protocol, config, &noise, job.seed).map_err(err)?;
+    drive(&mut world, budget, job, ctx, |_| Ok(false))
+}
+
+/// The one job loop, for every backend: step until consensus or round
+/// `budget`, offering each non-consensus round to `checkpoint`, then
+/// append the `done` record. `checkpoint` returns `true` when the sweep
+/// must stop; a stopped job (here or between rounds) leaves the manifest
+/// as it last described the job, and resume re-runs the suffix
+/// deterministically.
+fn drive<W: Run>(
+    world: &mut W,
+    budget: u64,
+    job: &JobSpec,
+    ctx: &SweepCtx<'_>,
+    mut checkpoint: impl FnMut(&W) -> Result<bool, SweepError>,
+) -> Result<(), SweepError> {
     while world.round() < budget {
         if ctx.stopped() {
             return Ok(());
@@ -421,6 +393,9 @@ fn drive_counts<P: CountsProtocol>(
         if world.is_consensus() {
             break;
         }
+        if checkpoint(world)? {
+            return Ok(());
+        }
     }
     let mut rec = base_record(job, budget);
     rec.status = JobStatus::Done;
@@ -428,16 +403,6 @@ fn drive_counts<P: CountsProtocol>(
     rec.consensus = world.is_consensus();
     rec.correct = world.correct_count();
     ctx.append(&rec)
-}
-
-/// Writes a snapshot to `checkpoints/<job>.snap` atomically (temp file +
-/// rename) and returns the out-relative path.
-fn write_checkpoint(out: &Path, job_id: &str, bytes: &[u8]) -> Result<String, SweepError> {
-    let rel = format!("checkpoints/{job_id}.snap");
-    let tmp = out.join(format!("checkpoints/{job_id}.snap.tmp"));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, out.join(&rel))?;
-    Ok(rel)
 }
 
 /// Aggregates `done` records into one [`PerfPoint`] per grid point, in

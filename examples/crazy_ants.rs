@@ -21,7 +21,7 @@
 
 use noisy_pull_repro::prelude::*;
 
-fn run_with_sample_size(n: usize, h: usize, delta: f64, seed: u64) -> (u64, u64, bool) {
+fn run_with_sample_size(n: usize, h: usize, delta: f64, seed: u64) -> (Option<u64>, u64) {
     let config = PopulationConfig::new(n, 0, 1, h).expect("valid scenario");
     let params = SfParams::derive(&config, delta, 1.0).expect("valid scenario");
     let noise = NoiseMatrix::uniform(2, delta).expect("valid scenario");
@@ -37,17 +37,9 @@ fn run_with_sample_size(n: usize, h: usize, delta: f64, seed: u64) -> (u64, u64,
         seed,
     )
     .expect("alphabets match");
-    // Find the settle round: run the full schedule tracking the last
-    // non-consensus round.
-    let mut last_bad = 0;
-    for r in 1..=params.total_rounds() {
-        world.step();
-        if !world.is_consensus() {
-            last_bad = r;
-        }
-    }
-    let converged = world.is_consensus();
-    (last_bad + 1, params.total_rounds(), converged)
+    // Run the full schedule; the settle round is the first round from
+    // which the informed direction held to the end.
+    (world.settle(params.total_rounds()), params.total_rounds())
 }
 
 fn main() {
@@ -63,8 +55,12 @@ fn main() {
         ("partial load (h = √n)  ", sqrt_n),
         ("antennation  (h = 1)   ", 1),
     ] {
-        let (settle, schedule, ok) = run_with_sample_size(n, h, delta, 7);
-        println!("   {label} {h:>5} {settle:>11} {schedule:>9}  {ok}");
+        let (settle, schedule) = run_with_sample_size(n, h, delta, 7);
+        let settled = settle.map_or("-".to_string(), |r| r.to_string());
+        println!(
+            "   {label} {h:>5} {settled:>11} {schedule:>9}  {}",
+            settle.is_some()
+        );
     }
 
     println!(

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let pull_dissem = 2 * sf_params.phase_len();
 
         // PUSH: the spreading stage.
-        let push_params = PushSpreadingParams::derive(n, 1, delta);
+        let push_params = PushSpreadingParams::derive(n, 1, delta)?;
         let push_dissem = push_params.spreading_rounds();
 
         println!(
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run the PUSH protocol once end-to-end to show it actually works.
     let n = 512;
-    let params = PushSpreadingParams::derive(n, 1, delta);
+    let params = PushSpreadingParams::derive(n, 1, delta)?;
     let config = PopulationConfig::new(n, 0, 1, 1)?;
     let noise = NoiseMatrix::uniform(2, delta)?;
     let mut world = PushWorld::new(&PushSpreading::new(params), config, &noise, 3)?;

@@ -72,28 +72,18 @@ cargo test --release -q -p np-baselines --test mean_field_crossval
 # faulted SSF run, whose summary must carry recovery records), which the
 # workspace test pass above runs.
 
-# Snapshot continuation diff: a run checkpointed mid-flight and restored
-# in a fresh process (at a different thread count) must write the same
-# per-round trace as the uninterrupted run.
-echo "### snapshot restore diff (straight @1 thread vs restored @4 threads)"
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
-cargo run -q --release -p np-cli -- \
-  run sf --n 256 --seed 7 --threads 1 \
-  --trace "$trace_dir/straight.jsonl" \
-  --checkpoint "$trace_dir/ckpt.snap" --checkpoint-every 8 > /dev/null
-cargo run -q --release -p np-cli -- \
-  run sf --n 256 --seed 7 --threads 4 \
-  --restore "$trace_dir/ckpt.snap" \
-  --trace "$trace_dir/restored.jsonl" > /dev/null
-diff "$trace_dir/straight.jsonl" "$trace_dir/restored.jsonl"
-echo "restored trace agrees: $(wc -l < "$trace_dir/straight.jsonl") rounds"
+# Snapshot continuation is pinned through the binary too:
+# `restored_trace_matches_the_straight_trace` in crates/cli/tests/cli.rs
+# checkpoints `run sf --n 256 --seed 7` at 1 thread, restores it at 4 and
+# requires the straight run's trace bytes.
 
 # Sweep interrupt/resume gate: a 3-job sweep killed after its first
 # checkpoint write (--stop-after 1) and resumed must aggregate a report
 # byte-identical to the uninterrupted sweep, across thread counts.
 echo "### sweep resume diff (uninterrupted @1 thread vs killed+resumed @4 threads)"
-sweep_dir="$trace_dir/sweep"
+work_dir="$(mktemp -d)"
+trap 'rm -rf "$work_dir"' EXIT
+sweep_dir="$work_dir/sweep"
 mkdir -p "$sweep_dir"
 cat > "$sweep_dir/spec.txt" <<'SPEC'
 protocol = sf
@@ -128,8 +118,8 @@ echo "### sim-cluster partition/heal smoke (SSF re-convergence)"
 cargo run -q --release -p np-cli -- \
   cluster --n 64 --delta 0.05 --c1 1 --seed 11 \
   --partition-at 3 --heal-at 6 --budget-intervals 40 \
-  | tee "$trace_dir/cluster_heal.out"
-grep -q 're-converged' "$trace_dir/cluster_heal.out" \
+  | tee "$work_dir/cluster_heal.out"
+grep -q 're-converged' "$work_dir/cluster_heal.out" \
   || { echo "cluster did not re-converge after heal" >&2; exit 1; }
 
 echo "### ci.sh: all checks passed"

@@ -69,6 +69,7 @@ pub mod prelude {
         AgentRecords, AgentState, ColumnarProtocol, ColumnarState, Protocol, ScalarLayout,
         ScalarState,
     };
+    pub use np_engine::run::Run;
     pub use np_engine::streams::{RoundStreams, StreamStage};
     pub use np_engine::topology::{Topology, TopologySpec};
     pub use np_engine::world::World;

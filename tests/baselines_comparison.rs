@@ -68,7 +68,7 @@ fn trusting_copy_is_poisoned_by_noise() {
 
 #[test]
 fn mean_estimator_tracks_itself_not_the_source() {
-    let wins = successes(&MeanEstimator::new(DELTA), DELTA);
+    let wins = successes(&MeanEstimator::new(DELTA).unwrap(), DELTA);
     assert!(wins < SEEDS as u32, "mean-estimator won all {SEEDS} seeds");
 }
 

@@ -14,6 +14,7 @@ use noisy_pull::params::SsfParams;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use np_engine::channel::ChannelKind;
 use np_engine::population::PopulationConfig;
+use np_engine::run::Run;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 use np_net::cluster::ClusterConfig;

@@ -146,7 +146,7 @@ fn push_model_spreads_end_to_end() {
     use noisy_pull_repro::baselines::push_spreading::{PushSpreading, PushSpreadingParams};
     use noisy_pull_repro::engine::push::PushWorld;
     let n = 256;
-    let params = PushSpreadingParams::derive(n, 1, 0.1);
+    let params = PushSpreadingParams::derive(n, 1, 0.1).unwrap();
     let config = PopulationConfig::new(n, 0, 1, 1).unwrap();
     let noise = NoiseMatrix::uniform(2, 0.1).unwrap();
     let mut world = PushWorld::new(&PushSpreading::new(params), config, &noise, 23).unwrap();
