@@ -24,7 +24,7 @@ use crate::population::PopulationConfig;
 /// The outcome of a bounded run: did the system reach consensus on the
 /// correct opinion, and when.
 ///
-/// Produced by [`crate::world::World::run_until_consensus`].
+/// Produced by [`crate::run::Run::run_until_consensus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunOutcome {
     /// All agents held the correct opinion at the end of the given round
@@ -123,7 +123,7 @@ impl OpinionSeries {
 
 /// Deterministic snapshot of the system after one completed round,
 /// collected by the observer hook (enable with
-/// [`crate::world::World::record_trace`] or
+/// [`crate::run::Run::record_trace`] or
 /// [`crate::world::World::set_observer`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundMetrics {
@@ -284,7 +284,7 @@ mod stage_clock {
 ///
 /// Attach with [`crate::world::World::set_observer`] for a custom sink, or
 /// use the built-in [`TraceRecorder`] via
-/// [`crate::world::World::record_trace`]. `Send` so worlds holding an
+/// [`crate::run::Run::record_trace`]. `Send` so worlds holding an
 /// observer can still move across threads (e.g. into `run_batch` jobs).
 pub trait RunObserver: Send {
     /// Called once after each completed round.
