@@ -22,6 +22,13 @@ use np_stats::ks::ks2_p_value;
 const SEEDS: u64 = 64;
 const P_THRESHOLD: f64 = 0.01;
 const ROUNDS: u64 = 24;
+/// What each entry of [`stats`]'s vector is, for failure messages.
+const STATS: [&str; 4] = [
+    "round-1 correct count",
+    "round-2 correct count",
+    "round-4 correct count",
+    "first all-correct round",
+];
 
 fn setup() -> (PopulationConfig, NoiseMatrix) {
     // 40 one-sources out of 128, h = 8, 10% symmetric noise: enough
@@ -39,7 +46,7 @@ fn stats(mut world: impl Run) -> Vec<f64> {
     world.record_trace();
     world.run(ROUNDS);
     let correct: Vec<usize> = world.traced_rounds().iter().map(|m| m.correct).collect();
-    let settle = correct
+    let first_all_correct = correct
         .iter()
         .position(|&c| c == world.n())
         .map_or(correct.len() as f64 + 1.0, |idx| idx as f64 + 1.0);
@@ -47,7 +54,7 @@ fn stats(mut world: impl Run) -> Vec<f64> {
         correct[0] as f64,
         correct[1] as f64,
         correct[3] as f64,
-        settle,
+        first_all_correct,
     ]
 }
 
@@ -71,7 +78,8 @@ fn majority_mean_field_matches_exact_channel() {
         let p = ks2_p_value(&xs, &ys).expect("valid samples");
         assert!(
             p > P_THRESHOLD,
-            "h-majority exact-channel crossval: statistic {stat} KS p = {p:.4}",
+            "h-majority exact-channel crossval: {} KS p = {p:.4}",
+            STATS[stat],
         );
     }
 }

@@ -416,6 +416,13 @@ fn report_run<W: Reported>(
 /// `--fault` plan. `prepare` runs on a fresh world only (SSF's initial
 /// corruption is part of round 0; a restored world already carries its
 /// effects in the snapshot).
+///
+/// A snapshot stores the fault cursor but not the plan, so restoring one
+/// whose cursor is past 0 without `--fault` is refused: the rest of its
+/// plan would be dropped without a word. A snapshot taken before its
+/// plan's first event (cursor 0) cannot be told from one taken without a
+/// plan, because the plan's length is not stored either; that restore
+/// runs fault-free.
 fn agent_world<P>(
     protocol: &P,
     config: PopulationConfig,
@@ -461,6 +468,12 @@ where
         } else {
             world.set_fault_plan(plan).map_err(err)?;
         }
+    } else if let (Some(path), cursor @ 1..) = (&common.restore, world.fault_cursor()) {
+        return Err(format!(
+            "snapshot {} was taken mid fault plan (fault cursor {cursor}: {cursor} events \
+             already fired); re-supply the same --fault flags to continue it",
+            path.display()
+        ));
     }
     Ok(world)
 }

@@ -116,6 +116,37 @@ fn errors_exit_nonzero_with_message() {
         err.contains("not δ-upper bounded") || err.contains("reduction"),
         "{err}"
     );
+    // A snapshot taken after its fault plan fired stores only the cursor:
+    // restoring it without `--fault` would drop the pending events.
+    let dir = scratch_dir("restore_without_fault");
+    let ckpt = dir.join("ckpt.snap");
+    let run = [
+        "run", "ssf", "--n", "64", "--delta", "0.1", "--c1", "8", "--seed", "7",
+    ];
+    run_ok(
+        &[
+            &run[..],
+            &[
+                "--budget-intervals",
+                "20",
+                "--fault",
+                "10:all-wrong:0.5",
+                "--fault",
+                "12:sleep:0.25:3",
+                "--checkpoint",
+                ckpt.to_str().unwrap(),
+                "--checkpoint-every",
+                "14",
+            ],
+        ]
+        .concat(),
+    );
+    let err = run_err(&[&run[..], &["--restore", ckpt.to_str().unwrap()]].concat());
+    assert!(
+        err.contains("fault cursor 2") && err.contains("re-supply the same --fault flags"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

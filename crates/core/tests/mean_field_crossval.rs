@@ -4,7 +4,7 @@
 //! The two backends share no RNG layout, so trajectories differ per seed;
 //! what must agree is the *law* of the trajectory. For each protocol we
 //! collect per-seed summary statistics — the correct-opinion count at
-//! structurally meaningful probe rounds and the first-consensus round —
+//! structurally meaningful probe rounds and the first all-correct round —
 //! over ≥64 seeds from both backends and demand a two-sample KS p-value
 //! above 0.01 ([`np_stats::ks::ks2_p_value`]; conservative on discrete
 //! data). The statistics are chosen where the distributions have spread:
@@ -36,14 +36,16 @@ const SEEDS: u64 = 64;
 const P_THRESHOLD: f64 = 0.01;
 
 /// Per-seed summary: correct counts at the probe rounds, plus the
-/// 1-based first-consensus round (budget + 1 when consensus was never
-/// observed within the recorded horizon).
+/// 1-based first all-correct round (budget + 1 when no round was all
+/// correct within the recorded horizon). That is the first round of
+/// consensus, not the settle round (`Run::settle`, the first round from
+/// which consensus held to the end).
 struct RunStats {
     probes: Vec<f64>,
-    settle: f64,
+    first_all_correct: f64,
 }
 
-fn settle_round(correct_by_round: &[usize], n: usize) -> f64 {
+fn first_all_correct_round(correct_by_round: &[usize], n: usize) -> f64 {
     correct_by_round
         .iter()
         .position(|&c| c == n)
@@ -83,7 +85,7 @@ fn sf_stats(world: impl Run, params: &SfParams, n: usize) -> RunStats {
             .iter()
             .map(|&r| correct[r as usize - 1] as f64)
             .collect(),
-        settle: settle_round(&correct, n),
+        first_all_correct: first_all_correct_round(&correct, n),
     }
 }
 
@@ -121,7 +123,7 @@ fn ssf_stats(world: impl Run, params: &SsfParams, n: usize) -> RunStats {
             correct[2 * interval as usize - 1] as f64,
             weak_correct[interval as usize - 1] as f64,
         ],
-        settle: settle_round(&correct, n),
+        first_all_correct: first_all_correct_round(&correct, n),
     }
 }
 
@@ -161,10 +163,13 @@ where
             &ys[..4.min(ys.len())],
         );
     }
-    let xs: Vec<f64> = agent_runs.iter().map(|r| r.settle).collect();
-    let ys: Vec<f64> = field_runs.iter().map(|r| r.settle).collect();
+    let xs: Vec<f64> = agent_runs.iter().map(|r| r.first_all_correct).collect();
+    let ys: Vec<f64> = field_runs.iter().map(|r| r.first_all_correct).collect();
     let p = ks2_p_value(&xs, &ys).expect("valid samples");
-    assert!(p > P_THRESHOLD, "{label}: settle-round KS p = {p:.4}");
+    assert!(
+        p > P_THRESHOLD,
+        "{label}: first-all-correct-round KS p = {p:.4}"
+    );
 }
 
 #[test]

@@ -25,8 +25,9 @@
 //!   the mixture law `q_j = Σ_σ (c_σ/n)·N_σj`, so the agent's count
 //!   vector is simply `Multinomial(h, q)` — `|Σ| − 1` binomial draws per
 //!   agent, with the level-0 binomial served from a per-round cached
-//!   inverse-cdf table ([`np_stats::binomial::CdfTable`]) built once in
-//!   [`Channel::begin_round`]. The sequential path
+//!   inverse-cdf table ([`np_stats::binomial::CdfTable`]) built on the
+//!   round's first draw, so a caller that reads only the collapsed law
+//!   (the mean-field counts engine) never builds it. The sequential path
 //!   ([`Channel::fill_observations`]) keeps the literal two-stage
 //!   factorization, so the distribution tests below compare the collapse
 //!   against an independent implementation.
@@ -35,6 +36,7 @@
 //! [`crate::protocol`] for why this is lossless for anonymous protocols.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::error::EngineError;
 use crate::streams::StreamRng;
@@ -121,10 +123,11 @@ pub struct RoundContext {
     /// marginal distribution of a single noisy observation. Empty unless
     /// the channel is aggregated with replacement.
     obs_law: Vec<f64>,
-    /// Cached inverse-cdf table for `Binomial(h, obs_law[0])`, the head
-    /// draw of every agent's collapsed multinomial this round. `None`
-    /// unless the channel is aggregated with replacement.
-    level0: Option<CdfTable>,
+    /// Inverse-cdf table for `Binomial(h, obs_law[0])`, the head draw of
+    /// every agent's collapsed multinomial this round. Built by the first
+    /// aggregated with-replacement fill that draws from it and shared by
+    /// every later chunk of the round; never built otherwise.
+    level0: OnceLock<CdfTable>,
 }
 
 impl RoundContext {
@@ -386,7 +389,7 @@ impl Channel {
             self.mode == SamplingMode::WithReplacement || h as u64 <= n,
             "oversampling without replacement"
         );
-        let (obs_law, level0) =
+        let obs_law =
             if self.kind == ChannelKind::Aggregated && self.mode == SamplingMode::WithReplacement {
                 // Collapsed observation law: q_j = Σ_σ (c_σ/n)·N_σj. Built
                 // once per round; every agent's count vector this round is
@@ -411,16 +414,15 @@ impl Channel {
                 )]
                 normalize_law(&mut q)
                     .expect("nonzero histogram over stochastic rows yields a nonzero law");
-                let table = CdfTable::new_unchecked(h as u64, q[0]);
-                (q, Some(table))
+                q
             } else {
-                (Vec::new(), None)
+                Vec::new()
             };
         RoundContext {
             disp_counts,
             h: h as u64,
             obs_law,
-            level0,
+            level0: OnceLock::new(),
         }
     }
 
@@ -518,19 +520,14 @@ impl Channel {
             SamplingMode::WithReplacement => {
                 // Collapsed compound draw (see module docs): each agent's
                 // count vector is Multinomial(h, q) directly. The head
-                // binomial comes from the per-round cached table; the tail
-                // is the conditional chain written straight into `out` —
-                // no per-agent scratch, no per-agent allocation.
+                // binomial comes from the per-round table, built here by
+                // the round's first chunk; the tail is the conditional
+                // chain written straight into `out` — no per-agent
+                // scratch, no per-agent allocation.
                 assert_eq!(ctx.h, h as u64, "round context was built for a different h");
-                #[expect(
-                    clippy::expect_used,
-                    reason = "infallible by construction: begin_round_from_counts always builds \
-                              the table for this mode; documented panic otherwise"
-                )]
                 let table = ctx
                     .level0
-                    .as_ref()
-                    .expect("with-replacement aggregated context carries a level-0 table");
+                    .get_or_init(|| CdfTable::new_unchecked(ctx.h, ctx.obs_law[0]));
                 for (k, agent) in range.enumerate() {
                     let mut rng = streams.rng(agent, StreamStage::Observe);
                     let base = k * self.d;
@@ -1322,6 +1319,28 @@ mod tests {
             channel.fill_observations_chunk(&from_counts, &displays, 12, 0..40, &streams, &mut b);
             assert_eq!(a, b, "{mode:?}");
         }
+    }
+
+    #[test]
+    fn level0_table_is_built_on_first_draw_only() {
+        // The mean-field counts engine reads only the collapsed law, so a
+        // fresh context must not hold the level-0 table; the first chunk
+        // fill builds it, for every later chunk of the round to share.
+        let noise = NoiseMatrix::uniform(2, 0.2).unwrap();
+        let channel = Channel::new(&noise, ChannelKind::Aggregated);
+        let ctx = channel
+            .begin_round_from_counts(vec![30, 10], 12)
+            .expect("valid histogram");
+        assert!(ctx.level0.get().is_none());
+        let displays: Vec<usize> = (0..40).map(|i| usize::from(i >= 30)).collect();
+        let streams = RoundStreams::new(5, 1);
+        let mut out = vec![0u64; 4 * 2];
+        channel.fill_observations_chunk(&ctx, &displays, 12, 0..4, &streams, &mut out);
+        let table = ctx.level0.get().expect("the first draw builds the table");
+        assert_eq!(
+            table.len(),
+            CdfTable::new_unchecked(12, ctx.obs_law()[0]).len()
+        );
     }
 
     #[test]

@@ -171,7 +171,8 @@ pub fn sample_unchecked<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
 /// walks the pmf outward from the mode on every draw (`O(σ)` expected
 /// steps); this table performs the identical inversion — same visit
 /// order, same tie rule — but pays the walk once at construction and
-/// answers each draw with one uniform plus a binary search (`O(log σ)`).
+/// answers each draw with one uniform plus a guide-table lookup (`O(1)`
+/// expected).
 ///
 /// Construction visits pmf entries mode-outward in decreasing-pmf order
 /// (exactly [`sample_unchecked`]'s order, so in the mode-inversion regime
@@ -179,12 +180,25 @@ pub fn sample_unchecked<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
 /// once the accumulated mass exceeds `1 − 1e-12`; a uniform beyond the
 /// table (probability `< 1e-12`) deterministically maps to the last —
 /// least likely — tabulated value.
+///
+/// The lookup is the cutpoint (indexed-search) method of Chen & Asau
+/// (1974; Devroye, *Non-Uniform Random Variate Generation*, §III.2.4):
+/// `[0, 1)` is cut into `G` equal slices, `G` the power of two at or
+/// above the table length, and `guide[j]` records the first index whose
+/// cumulative mass reaches `j/G`. A draw `u` starts at its slice's entry
+/// and scans forward, on average less than one step. Because `G` is a
+/// power of two, `u·G` and `j/G` are exact in `f64`, so the index found
+/// is exactly `cum.partition_point(|c| c < u)` — the binary search it
+/// replaces — for every `u`.
 #[derive(Debug, Clone)]
 pub struct CdfTable {
     /// Support values in visit order (mode-outward, decreasing pmf).
     ks: Vec<u64>,
-    /// Cumulative mass over `ks[..=i]`; strictly increasing.
+    /// Cumulative mass over `ks[..=i]`; non-decreasing.
     cum: Vec<f64>,
+    /// `guide[j]` = first `i` with `cum[i] ≥ j/G`, for `j ∈ 0..=G` with
+    /// `G = guide.len() − 1` a power of two (`len()` when no such `i`).
+    guide: Vec<u32>,
 }
 
 impl CdfTable {
@@ -202,16 +216,12 @@ impl CdfTable {
     /// the channel validates noise levels at construction).
     pub fn new_unchecked(n: u64, p: f64) -> Self {
         debug_assert!((0.0..=1.0).contains(&p));
-        let single = |k: u64| CdfTable {
-            ks: vec![k],
-            cum: vec![1.0],
-        };
         if n == 0 || p == 0.0 {
-            return single(0);
+            return CdfTable::from_cumulative(vec![0], vec![1.0]);
         }
         #[expect(clippy::float_cmp, reason = "degenerate-distribution sentinel")]
         if p == 1.0 {
-            return single(n);
+            return CdfTable::from_cumulative(vec![n], vec![1.0]);
         }
         let mode = ((((n + 1) as f64) * p).floor() as u64).min(n);
         #[expect(
@@ -221,41 +231,53 @@ impl CdfTable {
         let pmf_mode = pmf(n, p, mode).expect("p validated");
         let q = 1.0 - p;
         let ratio = p / q;
-        let mut ks = vec![mode];
-        let mut cum = vec![pmf_mode];
+        // Room for ±8σ without regrowth; a wider walk grows as usual.
+        let reserve =
+            ((16.0 * (n as f64 * p * q).sqrt()) as usize + 16).min((n as usize).saturating_add(1));
+        let mut ks = Vec::with_capacity(reserve);
+        let mut cum = Vec::with_capacity(reserve);
+        ks.push(mode);
+        cum.push(pmf_mode);
         let mut total = pmf_mode;
         // Same outward walk as `sample_from_mode`, with the same
         // multiplicative pmf recurrences and the same side-selection rule.
+        // Only the side just taken moves, so only its candidate is
+        // recomputed; the other keeps its value (same expression, same
+        // inputs, so the same bits). `-1.0` marks an exhausted side.
         let mut lo = mode;
         let mut hi = mode;
-        let mut pmf_lo = pmf_mode;
-        let mut pmf_hi = pmf_mode;
-        while total < 1.0 - 1e-12 {
-            let can_left = lo > 0;
-            let can_right = hi < n;
-            if !can_left && !can_right {
-                break;
-            }
-            let next_left = if can_left {
+        let next_left_of = |lo: u64, pmf_lo: f64| {
+            if lo > 0 {
                 pmf_lo * (lo as f64) / ((n - lo + 1) as f64) / ratio
             } else {
                 -1.0
-            };
-            let next_right = if can_right {
+            }
+        };
+        let next_right_of = |hi: u64, pmf_hi: f64| {
+            if hi < n {
                 pmf_hi * ((n - hi) as f64) / ((hi + 1) as f64) * ratio
             } else {
                 -1.0
-            };
+            }
+        };
+        let mut next_left = next_left_of(lo, pmf_mode);
+        let mut next_right = next_right_of(hi, pmf_mode);
+        while total < 1.0 - 1e-12 {
+            if lo == 0 && hi == n {
+                break;
+            }
             let step = if next_right >= next_left {
                 hi += 1;
-                pmf_hi = next_right;
                 ks.push(hi);
-                next_right
+                let step = next_right;
+                next_right = next_right_of(hi, step);
+                step
             } else {
                 lo -= 1;
-                pmf_lo = next_left;
                 ks.push(lo);
-                next_left
+                let step = next_left;
+                next_left = next_left_of(lo, step);
+                step
             };
             total += step;
             cum.push(total);
@@ -264,7 +286,23 @@ impl CdfTable {
                 break;
             }
         }
-        CdfTable { ks, cum }
+        CdfTable::from_cumulative(ks, cum)
+    }
+
+    /// Attaches the guide table to a finished `(ks, cum)` pair.
+    fn from_cumulative(ks: Vec<u64>, cum: Vec<f64>) -> Self {
+        let slices = cum.len().next_power_of_two();
+        let mut guide = Vec::with_capacity(slices + 1);
+        let mut i = 0usize;
+        for j in 0..=slices {
+            // Exact: `slices` is a power of two.
+            let edge = j as f64 / slices as f64;
+            while i < cum.len() && cum[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        CdfTable { ks, cum, guide }
     }
 
     /// Draws one value, consuming exactly one `f64` from `rng` — the same
@@ -273,9 +311,17 @@ impl CdfTable {
         self.sample_u01(rng.gen::<f64>())
     }
 
-    /// Inverts a uniform `u ∈ [0, 1)` through the table.
+    /// Inverts a uniform `u ∈ [0, 1)` through the table: the first
+    /// tabulated value whose cumulative mass reaches `u`, or the last one
+    /// when `u` lies beyond the truncated mass.
     pub fn sample_u01(&self, u: f64) -> u64 {
-        let i = self.cum.partition_point(|&c| c < u);
+        let slices = self.guide.len() - 1;
+        // `u < 1` keeps `slice < slices`; the answer lies in
+        // `guide[slice]..=guide[slice + 1]` because `slice/G ≤ u < (slice+1)/G`.
+        let slice = ((u * slices as f64) as usize).min(slices - 1);
+        let start = self.guide[slice] as usize;
+        let end = self.guide[slice + 1] as usize;
+        let i = start + self.cum[start..end].iter().take_while(|&&c| c < u).count();
         self.ks[i.min(self.ks.len() - 1)]
     }
 
@@ -966,6 +1012,40 @@ mod tests {
         let k = table.sample_u01(1.0 - f64::EPSILON);
         assert!(k <= 50);
         assert_eq!(table.sample_u01(0.0), 15); // mode = floor(51 · 0.3)
+    }
+
+    #[test]
+    fn cdf_table_guide_matches_binary_search_exactly() {
+        // The guide lookup must return exactly the index the binary search
+        // `cum.partition_point(|c| c < u)` finds, for every u in [0, 1).
+        // The probes sit where the two could part: 0, the largest u below
+        // 1, every cumulative value and every slice edge j/G, each with
+        // its neighbouring floats. The laws build tables of hundreds to
+        // tens of thousands of entries, plus the one-entry tables.
+        let laws = [
+            (65_536u64, 0.2),
+            (65_536, 0.5),
+            (1024, 0.1),
+            (1 << 20, 0.2),
+            (0, 0.5),
+            (100, 0.0),
+            (100, 1.0),
+        ];
+        for (n, p) in laws {
+            let table = CdfTable::new(n, p).unwrap();
+            let len = table.len();
+            let slices = table.guide.len() - 1;
+            assert_eq!(slices, len.next_power_of_two(), "n={n}, p={p}");
+            let mut probes = vec![0.0, 1.0 - f64::EPSILON];
+            let edges = (0..=slices).map(|j| j as f64 / slices as f64);
+            for x in table.cum.iter().copied().chain(edges) {
+                probes.extend([x.next_down(), x, x.next_up()]);
+            }
+            for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                let want = table.ks[table.cum.partition_point(|&c| c < u).min(len - 1)];
+                assert_eq!(table.sample_u01(u), want, "n={n}, p={p}, u={u:e}");
+            }
+        }
     }
 
     #[test]

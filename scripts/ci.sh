@@ -53,8 +53,8 @@ cargo test --release --features strict-invariants -q \
 
 # Mean-field KS cross-validation gate: the counts backend must reproduce
 # the per-agent convergence distributions (probe-round correct counts and
-# settle rounds, two-sample KS p > 0.01 over 64 fixed seeds a side) for
-# SF and SSF at n = 256 and n = 4096, and the exact-channel majority
+# first all-correct rounds, two-sample KS p > 0.01 over 64 fixed seeds a
+# side) for SF and SSF at n = 256 and n = 4096, and the exact-channel majority
 # baseline. The n = 4096 suites are `#[ignore]`d in plain test runs
 # (release-build scale); --include-ignored arms them here.
 echo "### mean-field KS cross-validation (per-agent vs counts backend)"
@@ -110,6 +110,39 @@ echo "sweep reports agree"
 # fails CI instead of the benchmark.
 echo "### perfbench build + unit tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
+# Benchmark smoke: run every workload once, briefly, and require what the
+# benchmark itself requires of a run: exit 0 (a failed output check
+# exits 1), a last stdout line that is a passing result, and no bare
+# `inf`/`NaN` in it (perfbench prints metric values unquoted, so one
+# would make the line invalid JSON). The traced agent-sf-64k run fills
+# every round from a `begin_round_from_counts` context, so it also
+# exercises the lazily built level-0 table.
+perfbench_smoke() {
+  local workload="$1" trace="$2"
+  local out="$work_dir/perfbench-$workload-trace$trace.out"
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace "$trace" \
+    --out "$work_dir/perfbench-spans" > "$out" \
+    || { tail -n 5 "$out" >&2; echo "perfbench $workload --trace $trace failed" >&2; exit 1; }
+  local last
+  last="$(tail -n 1 "$out")"
+  case "$last" in
+    '{"correct":true,'*) ;;
+    *) echo "perfbench $workload --trace $trace: last line is not a passing result: $last" >&2
+       exit 1 ;;
+  esac
+  if grep -Eq '[:,[]-?(inf|NaN)([],}]|$)' <<< "$last"; then
+    echo "perfbench $workload --trace $trace: non-finite metric in $last" >&2
+    exit 1
+  fi
+  echo "perfbench $workload --trace $trace: ok"
+}
+echo "### perfbench smoke (every workload, --seconds 1)"
+for workload in agent-sf-64k agent-ssf-1k meanfield-sf-ladder cluster-ssf-512-drop; do
+  perfbench_smoke "$workload" 0
+done
+perfbench_smoke agent-sf-64k 1
 
 # Partition/heal smoke: sever half the cluster mid-run, heal, and require
 # SSF to re-converge (Theorem 5's self-stabilization, exercised at the
